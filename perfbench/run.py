@@ -37,6 +37,10 @@ SERVE_SETUPS = 3  # daemon start + uploads, repeated; setup_s is the median
 SESSIONS_PER_S = 1.5
 SERVE_CYCLE_S = 3.0
 DEADLINE_S = 170  # every run ends within this many seconds after the build
+# Median time of the host-speed probe (src/probe.rs) on the 2-vCPU host the
+# bounds were set on. Time metrics are reported at that host speed: each
+# is multiplied by PROBE_REF_S / the run's median probe time.
+PROBE_REF_S = 0.0155
 
 
 def log(*args):
@@ -63,6 +67,7 @@ class Bench:
         self.deadline = None
         self.problems = []
         self.label = None
+        self.probes = []
 
     # ---- processes -------------------------------------------------------
 
@@ -95,6 +100,25 @@ class Bench:
         if p.returncode != 0:
             raise RuntimeError("worker %s failed: %s" % (cmd, p.stderr.strip()[-2000:]))
         return json.loads(p.stdout.strip().splitlines()[-1])
+
+    def probe(self):
+        """Time the host-speed probe once, between measured work."""
+        self.probes.append(self.run_worker("probe", "--reps", "5")["probe_s"])
+
+    def at_host_speed(self, metrics):
+        """Scale the time metrics to the host speed PROBE_REF_S stands for.
+
+        The host's speed drifts by a fifth and more over minutes, the same
+        way for the probe and the program; the probe's own work never
+        changes, so a change to the program moves the scaled figures as
+        much as the raw ones. Returns the raw figures and the probe times,
+        for the summary.
+        """
+        raw = {k: metrics[k] for k in ("recommendation_s", "model_eval_ms", "setup_s")}
+        slowdown = statistics.median(self.probes) / PROBE_REF_S
+        for k, v in raw.items():
+            metrics[k] = v / slowdown
+        return {"raw": raw, "probe_s": self.probes, "host_slowdown": slowdown}
 
     def gen(self, pair):
         out = self.run_worker("gen", "--seed", str(self.args.seed), "--pair", str(pair), *self.smoke)
@@ -223,6 +247,7 @@ class Bench:
         """Session processes back to back, one fresh pair each."""
         results = []
         for pair in range(max(1, round(self.args.seconds * SESSIONS_PER_S))):
+            self.probe()
             self.gen(pair)
             trace = os.path.join(self.work, "run-%d.csv" % pair)
             try:
@@ -235,6 +260,7 @@ class Bench:
             results.append(r)
             if time.monotonic() > self.deadline - 60:
                 break
+        self.probe()
         refs = self.references([("pair%d" % i, ["--pair", str(i)]) for i in range(len(results))])
         failed = 0
         for i, r in enumerate(results):
@@ -250,11 +276,16 @@ class Bench:
             raise RuntimeError("no session completed")
         # Per-session ratios, then the median over the run's sessions: one
         # pair whose tuned model trains unusually long or short does not
-        # move the run's figure.
+        # move the run's figure. Session times count at the middle of the
+        # tune's epoch range (work_scale in session.rs): which epochs each
+        # pair tunes to is a property of the generated data, not of the
+        # program's speed.
         metrics = {
             "setup_s": statistics.median(r["setup_s"] for r in ok),
-            "recommendation_s": statistics.median(r["session_s"] / r["iterations"] for r in ok),
-            "model_eval_ms": statistics.median(1000 * r["session_s"] / r["model_evals"] for r in ok),
+            "recommendation_s": statistics.median(
+                r["session_s"] / r["work_scale"] / r["iterations"] for r in ok),
+            "model_eval_ms": statistics.median(
+                1000 * r["session_s"] / r["work_scale"] / r["model_evals"] for r in ok),
             "peak_rss_mb": max(r["peak_rss_mb"] for r in ok),
         }
         summary = {
@@ -263,8 +294,10 @@ class Bench:
             "iterations": [r.get("iterations") for r in results],
             "model_evals": [r.get("model_evals") for r in results],
             "tuned": [r.get("tuned") for r in results],
+            "work_scale": [r.get("work_scale") for r in results],
             "f1_gain_pt": [100 * (r["final_f1"] - r["initial_f1"]) for r in ok],
         }
+        summary.update(self.at_host_speed(metrics))
         return metrics, len(results), failed, summary
 
     def untraced_serve(self):
@@ -272,7 +305,9 @@ class Bench:
         main = None
         for i in range(SERVE_SETUPS):
             cycles = self.serve_cycles() if i == 0 else 0
+            self.probe()
             ready_s, load, rss, store = self.serve_phase(cycles, False, i)
+            self.probe()
             setups.append(ready_s + load["uploads_s"])
             if i == 0:
                 main = (load, rss, store)
@@ -286,16 +321,22 @@ class Bench:
             raise RuntimeError("no served session has a reference")
         # Median per learner, then the geometric mean over the learners:
         # each learner weighs the same however its tuned model turns out.
+        # Turnarounds count at the middle of the tune's epoch range, as in
+        # untraced_sessions.
+        def scaled(s):
+            return s["turnaround_s"] / refs[(s["pair"], s["algo"])]["work_scale"]
+
         metrics = {
             "setup_s": statistics.median(setups),
-            "recommendation_s": per_learner(done, lambda s: s["turnaround_s"] / s["iterations"]),
+            "recommendation_s": per_learner(done, lambda s: scaled(s) / s["iterations"]),
             "model_eval_ms": per_learner(
-                done, lambda s: 1000 * s["turnaround_s"] / refs[(s["pair"], s["algo"])]["model_evals"]),
+                done, lambda s: 1000 * scaled(s) / refs[(s["pair"], s["algo"])]["model_evals"]),
             "peak_rss_mb": rss,
         }
         attempted, failed = served_counts(load)
         summary = serve_summary(load)
         summary["setups_s"] = setups
+        summary.update(self.at_host_speed(metrics))
         return metrics, attempted, failed, summary
 
     def traced(self):

@@ -9,8 +9,10 @@
 //!                      [--spans-out F] [--trace-out F]
 //! perfbench serve-load --workload W --dir D --label L --port P --seed N
 //!                      --cycles C [--smoke] [--stats]
+//! perfbench probe      [--reps R]
 //! ```
 
+mod probe;
 mod serve_load;
 mod session;
 mod spans;
@@ -29,7 +31,7 @@ use workload::Workload;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: perfbench gen|session|trace|serve-load --workload W ...");
+        eprintln!("usage: perfbench gen|session|trace|serve-load|probe ...");
         return ExitCode::from(2);
     };
     let result = parse_flags(rest).and_then(|flags| match cmd.as_str() {
@@ -37,6 +39,7 @@ fn main() -> ExitCode {
         "session" => cmd_session(&flags),
         "trace" => traced::cmd_trace(&input_of(&flags)?, &flags),
         "serve-load" => serve_load::cmd_serve_load(&input_of(&flags)?, &flags),
+        "probe" => probe::cmd_probe(&flags),
         other => Err(format!("unknown subcommand {other:?}")),
     });
     match result {
@@ -134,6 +137,7 @@ fn cmd_session(flags: &Flags) -> Result<String, String> {
         .field_f64("final_f1", trace.final_f1)
         .field_f64("peak_rss_mb", session::peak_rss_mb())
         .field_str("tuned", &format!("{:?}", env.model().params))
+        .field_f64("work_scale", session::work_scale(&env.model().params))
         .field_raw("problems", &json_strings(&problems));
     Ok(out.finish())
 }

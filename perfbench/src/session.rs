@@ -9,7 +9,7 @@ use comet_core::{
 };
 use comet_detect::DetectorConfig;
 use comet_frame::{read_csv, DataFrame, DEFAULT_SEGMENT_ROWS};
-use comet_ml::{Algorithm, RandomSearch};
+use comet_ml::{Algorithm, HyperParams, RandomSearch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -149,6 +149,22 @@ pub fn check_outcome(
         problems.push("session stopped early".into());
     }
     problems
+}
+
+/// Training work of a tuned model against the middle of the random-search
+/// space. The SGD learners (svm, logreg, linreg) train 20, 40 or 60
+/// epochs, and their fit time grows with the epochs; the tune picks the
+/// epochs from the pair's contents. Every other learner counts 1.
+/// `run.py` divides session times by this, so that a run's figure does
+/// not hang on how many of its pairs happened to tune to 20 or 60 epochs.
+pub fn work_scale(params: &HyperParams) -> f64 {
+    let epochs = match params {
+        HyperParams::Svm(p) => p.epochs,
+        HyperParams::LogReg(p) => p.epochs,
+        HyperParams::LinReg(p) => p.epochs,
+        _ => return 1.0,
+    };
+    epochs as f64 / 40.0
 }
 
 /// Peak resident set of this process (VmHWM), in MiB.
