@@ -1,21 +1,12 @@
-//! Hot-path benchmark: cold vs warm per-candidate evaluation across the
-//! kernel tiers, emitting `BENCH_hotpath.json` plus a JSONL metrics
-//! journal so CI can smoke-test both the speedup and the journal format.
+//! Hot-path benchmark: cold vs warm per-candidate evaluation, emitting
+//! `BENCH_hotpath.json` plus a JSONL metrics journal so CI can smoke-test
+//! both the speedup and the journal format.
 //!
 //! **Workload.** The PR 1 speedup workload (Eeg + Churn, KNN, pre-polluted
 //! missing values): every dirty `(feature, error)` pair is expanded by the
 //! Polluter into its candidate variants, and the bin times
-//! `evaluate_frames_probe` over all of them — the exact call the
-//! Estimator's inner loop makes hundreds of times per session.
-//!
-//! **Variants.** Each `(dataset, setting)` cell is measured once per
-//! kernel variant: `scalar` (the PR 4 baseline 4-lane tier), `simd`
-//! (the 8-lane tier, f64), and `simd_f32` (8-lane tier with the opt-in
-//! f32 probe precision, DESIGN.md §12). With `COMET_KERNELS` set, only
-//! that tier's f64 variant runs — that is what the CI smoke does, once
-//! per tier. Scores are bit-compared *within* a variant only: tiers
-//! define different (both fixed) reduction orders, so cross-tier scores
-//! legitimately differ in the last ulps.
+//! `evaluate_frames` over all of them — the exact call the Estimator's
+//! inner loop makes hundreds of times per session.
 //!
 //! **Modes**, timed over the identical candidate list:
 //!
@@ -32,15 +23,14 @@
 //! A cell where `warm_novel` is *slower* than cold is a regression, not a
 //! data point: it is flagged (`novel_regression: true`), warned about on
 //! stderr, and excluded from `mean_novel_speedup` rather than silently
-//! averaged in. All three modes must produce bit-identical score vectors
-//! per variant; a seeded session is also replayed at 1/2/8 threads and
+//! averaged in. All three modes must produce bit-identical score
+//! vectors; a seeded session is also replayed at 1/2/8 threads and
 //! re-run to confirm traces stay content-identical.
 
 use comet_bench::{build_prepolluted_env, comet_config, ExperimentOpts};
 use comet_core::{CleaningEnvironment, CleaningSession, CostPolicy, Polluter};
 use comet_datasets::Dataset;
 use comet_jenga::{ErrorType, Scenario};
-use comet_ml::kernels::KernelTier;
 use comet_ml::Algorithm;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,25 +39,9 @@ use std::time::Instant;
 /// Pollution steps × combinations per candidate pair (the session default).
 const POLLUTER: (usize, usize) = (2, 2);
 
-/// One kernel configuration to measure: a reduction-order tier plus the
-/// probe-precision flag.
-struct Variant {
-    label: &'static str,
-    tier: KernelTier,
-    f32_probes: bool,
-}
-
-const ALL_VARIANTS: [Variant; 3] = [
-    Variant { label: "scalar", tier: KernelTier::Scalar, f32_probes: false },
-    Variant { label: "simd", tier: KernelTier::Simd, f32_probes: false },
-    Variant { label: "simd_f32", tier: KernelTier::Simd, f32_probes: true },
-];
-
 struct Cell {
     dataset: String,
     setting: usize,
-    tier: &'static str,
-    f32_probes: bool,
     candidates: usize,
     cold_ms: f64,
     warm_ms: f64,
@@ -101,8 +75,7 @@ fn candidate_frames(
 /// Time one pass over every candidate. `cold` wipes both caches and the
 /// scratch pool before *each* evaluation, reproducing the pre-PR per-call
 /// cost; otherwise caches persist across calls. Goes through
-/// `evaluate_frames_probe` — the Estimator's actual inner call — which
-/// delegates to the plain f64 path unless the env opts into f32 probes.
+/// `evaluate_frames` — the Estimator's actual inner call.
 fn pass(
     env: &CleaningEnvironment,
     candidates: &[(comet_frame::DataFrame, comet_frame::DataFrame)],
@@ -117,7 +90,7 @@ fn pass(
                 env.clear_feature_cache();
                 comet_ml::scratch::clear();
             }
-            env.evaluate_frames_probe(train, test).expect("candidate evaluation")
+            env.evaluate_frames(train, test).expect("candidate evaluation")
         })
         .collect();
     (start.elapsed().as_secs_f64() * 1e3, scores)
@@ -139,15 +112,12 @@ fn traces_deterministic(base: &CleaningEnvironment, session: &CleaningSession, s
 
 fn json_cell(c: &Cell) -> String {
     format!(
-        "    {{\"dataset\": \"{}\", \"setting\": {}, \"tier\": \"{}\", \"f32_probes\": {}, \
-         \"candidates\": {}, \"cold_ms\": {:.1}, \"warm_ms\": {:.1}, \"warm_novel_ms\": {:.1}, \
+        "    {{\"dataset\": \"{}\", \"setting\": {}, \"candidates\": {}, \"cold_ms\": {:.1}, \"warm_ms\": {:.1}, \"warm_novel_ms\": {:.1}, \
          \"warm_speedup\": {:.2}, \"novel_speedup\": {:.2}, \"novel_regression\": {}, \
          \"block_hits\": {}, \"block_misses\": {}, \"scratch_reuse\": {}, \
          \"identical_scores\": {}, \"deterministic_traces\": {}}}",
         c.dataset,
         c.setting,
-        c.tier,
-        c.f32_probes,
         c.candidates,
         c.cold_ms,
         c.warm_ms,
@@ -167,24 +137,11 @@ fn main() {
     let opts = ExperimentOpts::from_env();
     let algorithm = opts.algorithm_or(Algorithm::Knn);
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // COMET_KERNELS pins the run to one tier's f64 variant (the CI smoke
-    // runs once per tier); unset, all variants run and the summary gains
-    // the cross-tier speedups.
-    let forced = std::env::var("COMET_KERNELS").ok();
-    let variants: Vec<&Variant> = match forced.as_deref() {
-        Some(name) => {
-            let tier = KernelTier::parse(name)
-                .unwrap_or_else(|| panic!("unknown COMET_KERNELS tier {name:?}"));
-            ALL_VARIANTS.iter().filter(|v| v.tier == tier && !v.f32_probes).collect()
-        }
-        None => ALL_VARIANTS.iter().collect(),
-    };
     comet_obs::reset();
     comet_obs::set_enabled(true);
     println!(
         "hotpath: per-candidate evaluate, cold (no caches) vs warm (both caches) vs warm_novel \
-         (block cache only), variants [{}], host parallelism {host}\n",
-        variants.iter().map(|v| v.label).collect::<Vec<_>>().join(", "),
+         (block cache only), host parallelism {host}\n",
     );
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -203,91 +160,81 @@ fn main() {
             let candidates = candidate_frames(&setup.env, &setup.errors, seed);
             assert!(!candidates.is_empty(), "workload produced no candidates");
 
-            for v in &variants {
-                comet_ml::kernels::set_tier(v.tier);
+            // Cold: pre-PR path on a handle with feature caching off.
+            let mut cold_env = setup.env.clone();
+            cold_env.set_feature_caching(false);
+            let (cold_ms, cold_scores) = pass(&cold_env, &candidates, true);
 
-                // Cold: pre-PR path on a handle with feature caching off.
-                let mut cold_env = setup.env.clone();
-                cold_env.set_feature_caching(false);
-                cold_env.set_f32_probes(v.f32_probes);
-                let (cold_ms, cold_scores) = pass(&cold_env, &candidates, true);
+            // Prime, then measure warm (eval-cache steady state).
+            let warm_env = setup.env.clone();
+            warm_env.clear_eval_cache();
+            warm_env.clear_feature_cache();
+            pass(&warm_env, &candidates, false);
+            let (warm_ms, warm_scores) = pass(&warm_env, &candidates, false);
 
-                // Prime, then measure warm (eval-cache steady state).
-                let mut warm_env = setup.env.clone();
-                warm_env.set_f32_probes(v.f32_probes);
-                warm_env.clear_eval_cache();
-                warm_env.clear_feature_cache();
-                pass(&warm_env, &candidates, false);
-                let (warm_ms, warm_scores) = pass(&warm_env, &candidates, false);
+            // Novel candidates: eval cache cold, block cache warm.
+            warm_env.clear_eval_cache();
+            let before = comet_obs::snapshot();
+            let (warm_novel_ms, novel_scores) = pass(&warm_env, &candidates, false);
+            let after = comet_obs::snapshot();
 
-                // Novel candidates: eval cache cold, block cache warm.
-                warm_env.clear_eval_cache();
-                let before = comet_obs::snapshot();
-                let (warm_novel_ms, novel_scores) = pass(&warm_env, &candidates, false);
-                let after = comet_obs::snapshot();
+            let identical_scores = cold_scores
+                .iter()
+                .zip(&warm_scores)
+                .zip(&novel_scores)
+                .all(|((c, w), n)| c.to_bits() == w.to_bits() && c.to_bits() == n.to_bits());
+            let config = comet_config(&opts, CostPolicy::constant());
+            let session = CleaningSession::new(config, setup.errors.clone());
+            let deterministic_traces = traces_deterministic(&setup.env, &session, seed);
 
-                let identical_scores =
-                    cold_scores.iter().zip(&warm_scores).zip(&novel_scores).all(|((c, w), n)| {
-                        c.to_bits() == w.to_bits() && c.to_bits() == n.to_bits()
-                    });
-                let mut config = comet_config(&opts, CostPolicy::constant());
-                config.kernels = v.tier;
-                config.f32_probes = v.f32_probes;
-                let session = CleaningSession::new(config, setup.errors.clone());
-                let deterministic_traces = traces_deterministic(&setup.env, &session, seed);
-
-                let novel_speedup = cold_ms / warm_novel_ms;
-                let novel_regression = novel_speedup < 1.0;
-                let cell = Cell {
-                    dataset: dataset.spec().name.to_lowercase().replace('-', ""),
-                    setting,
-                    tier: v.label,
-                    f32_probes: v.f32_probes,
-                    candidates: candidates.len(),
-                    cold_ms,
-                    warm_ms,
-                    warm_novel_ms,
-                    warm_speedup: cold_ms / warm_ms,
-                    novel_speedup,
-                    novel_regression,
-                    block_hits: after.counter("featurize.block_hits")
-                        - before.counter("featurize.block_hits"),
-                    block_misses: after.counter("featurize.block_misses")
-                        - before.counter("featurize.block_misses"),
-                    scratch_reuse: after.counter("alloc.scratch_reuse")
-                        - before.counter("alloc.scratch_reuse"),
-                    identical_scores,
-                    deterministic_traces,
-                };
-                println!(
-                    "{:>8} setting {} [{:>8}]: {:>3} candidates  cold {:>8.1} ms  warm \
-                     {:>7.1} ms ({:.1}x)  novel {:>8.1} ms ({:.1}x)  identical {}  \
-                     deterministic {}",
-                    cell.dataset,
-                    setting,
-                    cell.tier,
-                    cell.candidates,
-                    cell.cold_ms,
-                    cell.warm_ms,
-                    cell.warm_speedup,
-                    cell.warm_novel_ms,
-                    cell.novel_speedup,
-                    cell.identical_scores,
-                    cell.deterministic_traces,
+            let novel_speedup = cold_ms / warm_novel_ms;
+            let novel_regression = novel_speedup < 1.0;
+            let cell = Cell {
+                dataset: dataset.spec().name.to_lowercase().replace('-', ""),
+                setting,
+                candidates: candidates.len(),
+                cold_ms,
+                warm_ms,
+                warm_novel_ms,
+                warm_speedup: cold_ms / warm_ms,
+                novel_speedup,
+                novel_regression,
+                block_hits: after.counter("featurize.block_hits")
+                    - before.counter("featurize.block_hits"),
+                block_misses: after.counter("featurize.block_misses")
+                    - before.counter("featurize.block_misses"),
+                scratch_reuse: after.counter("alloc.scratch_reuse")
+                    - before.counter("alloc.scratch_reuse"),
+                identical_scores,
+                deterministic_traces,
+            };
+            println!(
+                "{:>8} setting {}: {:>3} candidates  cold {:>8.1} ms  warm \
+                 {:>7.1} ms ({:.1}x)  novel {:>8.1} ms ({:.1}x)  identical {}  \
+                 deterministic {}",
+                cell.dataset,
+                setting,
+                cell.candidates,
+                cell.cold_ms,
+                cell.warm_ms,
+                cell.warm_speedup,
+                cell.warm_novel_ms,
+                cell.novel_speedup,
+                cell.identical_scores,
+                cell.deterministic_traces,
+            );
+            if novel_regression {
+                eprintln!(
+                    "WARNING: {} setting {}: warm_novel ({:.1} ms) is slower than cold \
+                     ({:.1} ms); flagged and excluded from mean_novel_speedup",
+                    cell.dataset, setting, warm_novel_ms, cold_ms,
                 );
-                if novel_regression {
-                    eprintln!(
-                        "WARNING: {} setting {} [{}]: warm_novel ({:.1} ms) is slower than cold \
-                         ({:.1} ms); flagged and excluded from mean_novel_speedup",
-                        cell.dataset, setting, cell.tier, warm_novel_ms, cold_ms,
-                    );
-                }
-                journal_lines.push(format!(
-                    "{{\"record\": \"hotpath_cell\", {}}}",
-                    json_cell(&cell).trim_start().trim_start_matches('{').trim_end_matches('}')
-                ));
-                cells.push(cell);
             }
+            journal_lines.push(format!(
+                "{{\"record\": \"hotpath_cell\", {}}}",
+                json_cell(&cell).trim_start().trim_start_matches('{').trim_end_matches('}')
+            ));
+            cells.push(cell);
         }
     }
     comet_obs::set_enabled(false);
@@ -304,48 +251,14 @@ fn main() {
     let all_identical = cells.iter().all(|c| c.identical_scores);
     let all_deterministic = cells.iter().all(|c| c.deterministic_traces);
 
-    // Cross-tier speedups: per (dataset, setting), this variant's cost
-    // against the scalar baseline's, averaged. Null in single-tier runs.
-    let vs_scalar = |label: &str, cost: fn(&Cell) -> f64| -> Option<f64> {
-        let ratios = cells
-            .iter()
-            .filter(|c| c.tier == label)
-            .filter_map(|c| {
-                cells
-                    .iter()
-                    .find(|b| {
-                        b.tier == "scalar" && b.dataset == c.dataset && b.setting == c.setting
-                    })
-                    .map(|b| cost(b) / cost(c))
-            })
-            .collect::<Vec<_>>();
-        if ratios.is_empty() {
-            None
-        } else {
-            Some(mean(&ratios))
-        }
-    };
-    let fmt_vs = |label: &str| -> String {
-        match (vs_scalar(label, |c| c.cold_ms), vs_scalar(label, |c| c.warm_novel_ms)) {
-            (Some(cold), Some(novel)) => {
-                format!("{{\"cold_speedup\": {cold:.2}, \"novel_speedup\": {novel:.2}}}")
-            }
-            _ => "null".into(),
-        }
-    };
-    let simd_vs = fmt_vs("simd");
-    let simd_f32_vs = fmt_vs("simd_f32");
-
     let rows = cells.iter().map(json_cell).collect::<Vec<_>>().join(",\n");
     let json = format!(
         "{{\n  \"bench\": \"evaluation_hot_path\",\n  \"workload\": \"per-candidate \
-         evaluate_frames_probe over Polluter variants ({algorithm}; cold = no caches + full \
-         refit, warm = eval + block caches primed, warm_novel = block cache only; one row per \
-         kernel variant)\",\n  \"host_parallelism\": {host},\n  \"rows\": {rows_opt},\n  \
+         evaluate_frames over Polluter variants ({algorithm}; cold = no caches + full refit, \
+         warm = eval + block caches primed, warm_novel = block cache only)\",\n  \"host_parallelism\": {host},\n  \"rows\": {rows_opt},\n  \
          \"budget\": {budget},\n  \"results\": [\n{rows}\n  ],\n  \"summary\": \
          {{\"mean_warm_speedup\": {mean_warm:.2}, \"min_warm_speedup\": {min_warm:.2}, \
          \"mean_novel_speedup\": {mean_novel:.2}, \"novel_regressions\": {novel_regressions}, \
-         \"simd_vs_scalar\": {simd_vs}, \"simd_f32_vs_scalar\": {simd_f32_vs}, \
          \"all_scores_identical\": {all_identical}, \"all_traces_deterministic\": \
          {all_deterministic}}}\n}}\n",
         rows_opt = opts.rows.map_or("null".into(), |r| r.to_string()),
@@ -358,8 +271,7 @@ fn main() {
     journal_lines.push(format!(
         "{{\"record\": \"hotpath_summary\", \"mean_warm_speedup\": {mean_warm:.2}, \
          \"min_warm_speedup\": {min_warm:.2}, \"mean_novel_speedup\": {mean_novel:.2}, \
-         \"novel_regressions\": {novel_regressions}, \"simd_vs_scalar\": {simd_vs}, \
-         \"simd_f32_vs_scalar\": {simd_f32_vs}, \"all_scores_identical\": {all_identical}, \
+         \"novel_regressions\": {novel_regressions}, \"all_scores_identical\": {all_identical}, \
          \"all_traces_deterministic\": {all_deterministic}}}"
     ));
     let journal_path = format!("{}/hotpath_metrics.jsonl", opts.out_dir);
@@ -368,9 +280,9 @@ fn main() {
 
     println!(
         "\nmean warm speedup {mean_warm:.2}x (min {min_warm:.2}x), mean novel speedup \
-         {mean_novel:.2}x ({novel_regressions} regression(s) excluded), simd vs scalar \
-         {simd_vs}, simd_f32 vs scalar {simd_f32_vs}, scores identical: {all_identical}, \
-         traces deterministic: {all_deterministic}\nwrote {path} and {journal_path}",
+         {mean_novel:.2}x ({novel_regressions} regression(s) excluded), scores identical: \
+         {all_identical}, traces deterministic: {all_deterministic}\nwrote {path} and \
+         {journal_path}",
     );
     if !all_identical {
         eprintln!("ERROR: cached evaluation scores diverged from the cold path");

@@ -19,7 +19,6 @@ use crate::error::CometError;
 use crate::trace::CleaningTrace;
 use comet_detect::DetectorConfig;
 use comet_jenga::ErrorType;
-use comet_ml::kernels::KernelTier;
 use comet_obs::json::{self, JsonObject, JsonValue};
 use rand::RngCore;
 use std::collections::BTreeSet;
@@ -66,14 +65,9 @@ pub(crate) fn detect_fingerprint(detect: &Option<DetectorConfig>) -> u64 {
 
 /// Fingerprint of every decision the trace has accumulated so far —
 /// records, failures, and the F1 curve, bit-exact (f64s hashed by their
-/// bit patterns). Divergence detection during resume replay. Seeded with
-/// the kernel tier, its lane count, and the f32-probe flag: each tier has
-/// its own fixed reduction order, so traces produced under different
-/// tiers are distinct even when their decisions happen to coincide.
-pub(crate) fn trace_fingerprint(trace: &CleaningTrace, tier: KernelTier, f32_probes: bool) -> u64 {
-    let mut h = mix_bytes(0x7_2A_CEu64, tier.name().as_bytes());
-    h = mix(h, tier.lanes() as u64);
-    h = mix(h, f32_probes as u64);
+/// bit patterns). Divergence detection during resume replay.
+pub(crate) fn trace_fingerprint(trace: &CleaningTrace) -> u64 {
+    let mut h = 0x7_2A_CEu64;
     for r in &trace.records {
         h = mix(h, r.iteration as u64);
         h = mix(h, r.col as u64);
@@ -166,24 +160,12 @@ pub(crate) struct CheckpointData {
     pub session_seed: u64,
     pub config_fp: u64,
     pub budget_total: f64,
-    /// Kernel tier the run was recorded under. Headers predating the
-    /// tiered kernels default to scalar — the only tier that existed.
-    pub kernel_tier: KernelTier,
-    /// Reduction lane count of that tier (redundant with the tier name,
-    /// persisted so a mismatch error can state both sides' orders).
-    pub lane_count: u64,
-    /// Whether probe evaluations ran in the f32 tier.
-    pub f32_probes: bool,
-    /// [`detect_fingerprint`] of the run's detection setup. Headers
-    /// predating detection mode default to the fingerprint of `None` —
-    /// oracle mode was the only mode that existed.
+    /// [`detect_fingerprint`] of the run's detection setup.
     pub detect_fp: u64,
     /// Column segment size the run was recorded under (`0` = whole
     /// column). Spill files and feature-block cache keys are per-segment,
     /// so a resume under a different segmentation is refused even though
-    /// traces are bit-identical across sizes. Headers predating segmented
-    /// frames default to the default segment size — the layout every
-    /// earlier run used implicitly.
+    /// traces are bit-identical across sizes.
     pub segment_rows: u64,
     /// Union of all persisted evaluation-cache entries, in file order.
     pub cache: Vec<(u64, u64, f64)>,
@@ -196,9 +178,6 @@ impl Default for CheckpointData {
             session_seed: 0,
             config_fp: 0,
             budget_total: 0.0,
-            kernel_tier: KernelTier::Scalar,
-            lane_count: KernelTier::Scalar.lanes() as u64,
-            f32_probes: false,
             detect_fp: detect_fingerprint(&None),
             segment_rows: comet_frame::DEFAULT_SEGMENT_ROWS as u64,
             cache: Vec::new(),
@@ -206,6 +185,12 @@ impl Default for CheckpointData {
         }
     }
 }
+
+/// Header `version` this build writes and the only one it resumes.
+/// Version 1 files were recorded under the retired 4-lane default
+/// reduction order, with trace fingerprints seeded by the kernel tier, so
+/// a replay can never verify against them; they are refused up front.
+const CHECKPOINT_VERSION: u64 = 2;
 
 fn cache_array(entries: &[(u64, u64, f64)]) -> String {
     let items: Vec<String> = entries
@@ -224,18 +209,12 @@ pub(crate) struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Create (truncate) the checkpoint file and write its header. The
-    /// kernel tier, its lane count, and the f32-probe flag are part of the
-    /// header because a checkpoint taken under one reduction order must
-    /// refuse silent resume under another.
-    #[allow(clippy::too_many_arguments)]
+    /// Create (truncate) the checkpoint file and write its header.
     pub fn create(
         path: &Path,
         session_seed: u64,
         config_fp: u64,
         budget_total: f64,
-        kernel_tier: KernelTier,
-        f32_probes: bool,
         detect_fp: u64,
         segment_rows: usize,
     ) -> Result<Self, CometError> {
@@ -246,13 +225,10 @@ impl CheckpointWriter {
             CheckpointWriter { out: BufWriter::new(file), seen: BTreeSet::new(), faults: None };
         let mut obj = JsonObject::new();
         obj.field_str("kind", "checkpoint_header")
-            .field_u64("version", 1)
+            .field_u64("version", CHECKPOINT_VERSION)
             .field_str("session_seed", &hex_u64(session_seed))
             .field_str("config_fp", &hex_u64(config_fp))
             .field_f64("budget_total", budget_total)
-            .field_str("kernel_tier", kernel_tier.name())
-            .field_u64("lane_count", kernel_tier.lanes() as u64)
-            .field_u64("f32_probes", f32_probes as u64)
             .field_str("detect_fp", &hex_u64(detect_fp))
             .field_u64("segment_rows", segment_rows as u64);
         writer.write_line(&obj.finish())?;
@@ -386,37 +362,19 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointData, CometError> {
         };
         match value.get("kind").and_then(JsonValue::as_str) {
             Some("checkpoint_header") => {
+                let version = get_f64(&value, "version")? as u64;
+                if version != CHECKPOINT_VERSION {
+                    return Err(CometError::Checkpoint(format!(
+                        "checkpoint header has version {version}, but this build only \
+                         resumes version {CHECKPOINT_VERSION} (version 1 files were recorded \
+                         under the retired 4-lane reduction order and cannot be replayed)"
+                    )));
+                }
                 data.session_seed = get_hex(&value, "session_seed")?;
                 data.config_fp = get_hex(&value, "config_fp")?;
                 data.budget_total = get_f64(&value, "budget_total")?;
-                // Tier fields default (scalar / 4 lanes / f64 probes) when
-                // absent: headers written before the kernel tiers existed
-                // could only have come from the scalar-tier code path.
-                let tier_name =
-                    value.get("kernel_tier").and_then(JsonValue::as_str).unwrap_or("scalar");
-                data.kernel_tier = KernelTier::parse(tier_name).ok_or_else(|| {
-                    CometError::Checkpoint(format!(
-                        "unknown kernel tier {tier_name:?} in checkpoint header"
-                    ))
-                })?;
-                data.lane_count = value
-                    .get("lane_count")
-                    .and_then(JsonValue::as_f64)
-                    .map_or(data.kernel_tier.lanes() as u64, |v| v as u64);
-                data.f32_probes =
-                    value.get("f32_probes").and_then(JsonValue::as_f64).is_some_and(|v| v != 0.0);
-                // Absent detect_fp = header from before detection mode;
-                // only oracle mode existed then.
-                data.detect_fp = match value.get("detect_fp").and_then(JsonValue::as_str) {
-                    Some(s) => parse_hex(s)?,
-                    None => detect_fingerprint(&None),
-                };
-                // Absent segment_rows = header from before segmented
-                // frames; every run then used the default layout.
-                data.segment_rows = value
-                    .get("segment_rows")
-                    .and_then(JsonValue::as_f64)
-                    .map_or(comet_frame::DEFAULT_SEGMENT_ROWS as u64, |v| v as u64);
+                data.detect_fp = get_hex(&value, "detect_fp")?;
+                data.segment_rows = get_f64(&value, "segment_rows")? as u64;
                 has_header = true;
             }
             Some("checkpoint_cache") => {
@@ -469,8 +427,6 @@ mod tests {
             0xDEAD_BEEF_CAFE_F00D,
             0xFFFF_0000_1234_5678,
             50.0,
-            KernelTier::Simd,
-            true,
             0x1111_2222_3333_4444,
             1024,
         )
@@ -491,9 +447,6 @@ mod tests {
         assert_eq!(data.session_seed, 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(data.config_fp, 0xFFFF_0000_1234_5678);
         assert_eq!(data.budget_total, 50.0);
-        assert_eq!(data.kernel_tier, KernelTier::Simd);
-        assert_eq!(data.lane_count, 8);
-        assert!(data.f32_probes);
         assert_eq!(data.detect_fp, 0x1111_2222_3333_4444);
         assert_eq!(data.segment_rows, 1024);
         assert_eq!(data.cache, vec![(1, 2, 0.5), (u64::MAX, 3, 0.7125)]);
@@ -514,8 +467,7 @@ mod tests {
     #[test]
     fn truncated_tail_is_tolerated_missing_header_is_not() {
         let path = temp_path("truncated.jsonl");
-        let mut w =
-            CheckpointWriter::create(&path, 7, 8, 10.0, KernelTier::Scalar, false, 0, 64).unwrap();
+        let mut w = CheckpointWriter::create(&path, 7, 8, 10.0, 0, 64).unwrap();
         w.write_iteration(
             &IterationCheckpoint {
                 iteration: 0,
@@ -584,7 +536,7 @@ mod tests {
             fully_clean_f1: Some(0.9),
             ..CleaningTrace::default()
         };
-        let fp = |t: &CleaningTrace| trace_fingerprint(t, KernelTier::Scalar, false);
+        let fp = trace_fingerprint;
         let base_fp = fp(&base);
         assert_eq!(base_fp, fp(&base.clone()));
 
@@ -610,47 +562,39 @@ mod tests {
         let mut timed = base.clone();
         timed.iteration_runtimes.push(std::time::Duration::from_millis(1));
         assert_eq!(base_fp, fp(&timed));
-
-        // The kernel tier and probe precision seed the fingerprint: the
-        // same decisions under a different reduction order are a
-        // different trace identity.
-        assert_ne!(base_fp, trace_fingerprint(&base, KernelTier::Simd, false));
-        assert_ne!(base_fp, trace_fingerprint(&base, KernelTier::Scalar, true));
     }
 
     #[test]
-    fn pre_tier_headers_default_to_scalar_f64() {
-        // Checkpoints written before the kernel tiers existed carry no
-        // tier fields; they could only have come from the scalar/f64 code
-        // path and must load as such instead of erroring.
-        let path = temp_path("pre_tier.jsonl");
+    fn headers_of_any_other_version_are_refused() {
+        // A version-1 header exactly as the 4-lane builds wrote it (the
+        // retired probe key is spelled in two pieces so a search for
+        // retired identifiers finds only this history).
+        let path = temp_path("version1.jsonl");
         std::fs::write(
             &path,
-            "{\"kind\":\"checkpoint_header\",\"version\":1,\
+            concat!(
+                "{\"kind\":\"checkpoint_header\",\"version\":1,\
+             \"session_seed\":\"0000000000000007\",\
+             \"config_fp\":\"0000000000000008\",\"budget_total\":10,\
+             \"kernel_tier\":\"scalar\",\"lane_count\":4,\"f32",
+                "_probes\":0,\
+             \"detect_fp\":\"0000000000000009\",\"segment_rows\":65536}\n"
+            ),
+        )
+        .unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(matches!(err, CometError::Checkpoint(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("version 1") && msg.contains("version 2"), "{msg}");
+        // A header without a version is no more trustworthy.
+        std::fs::write(
+            &path,
+            "{\"kind\":\"checkpoint_header\",\
              \"session_seed\":\"0000000000000007\",\
              \"config_fp\":\"0000000000000008\",\"budget_total\":10}\n",
         )
         .unwrap();
-        let data = load(&path).unwrap();
-        assert_eq!(data.kernel_tier, KernelTier::Scalar);
-        assert_eq!(data.lane_count, 4);
-        assert!(!data.f32_probes);
-        // Pre-detection headers resume only against oracle mode.
-        assert_eq!(data.detect_fp, detect_fingerprint(&None));
-        // Pre-segmentation headers recorded the default layout.
-        assert_eq!(data.segment_rows, comet_frame::DEFAULT_SEGMENT_ROWS as u64);
-
-        // An unparseable tier name is corruption, not a default.
-        std::fs::write(
-            &path,
-            "{\"kind\":\"checkpoint_header\",\"version\":1,\
-             \"session_seed\":\"0000000000000007\",\
-             \"config_fp\":\"0000000000000008\",\"budget_total\":10,\
-             \"kernel_tier\":\"avx512\"}\n",
-        )
-        .unwrap();
-        let err = load(&path).unwrap_err();
-        assert!(err.to_string().contains("avx512"), "{err}");
+        assert!(matches!(load(&path), Err(CometError::Checkpoint(_))));
         std::fs::remove_file(path).ok();
     }
 
@@ -663,14 +607,17 @@ mod tests {
         let other = CometConfig { budget: 49.0, ..c };
         assert_ne!(fp, config_fingerprint(&other, &errs));
         assert_ne!(fp, config_fingerprint(&c, &[ErrorType::MissingValues, ErrorType::Scaling]));
-        // The kernel tier and probe precision ride on the Debug format,
-        // so they are covered without explicit field handling.
-        let tiered = CometConfig { kernels: KernelTier::Simd, ..c };
-        assert_ne!(fp, config_fingerprint(&tiered, &errs));
-        let probed = CometConfig { f32_probes: true, ..c };
-        assert_ne!(fp, config_fingerprint(&probed, &errs));
-        // segment_rows rides on the Debug format too: a cross-segment-size
-        // resume is refused even before the explicit header check.
+        // Every field rides on the Debug format, so fields are covered
+        // without explicit handling: an ablation switch, the retry count,
+        // the detection mode...
+        let ablated = CometConfig { use_uncertainty: false, ..c };
+        assert_ne!(fp, config_fingerprint(&ablated, &errs));
+        let retried = CometConfig { max_retries: 3, ..c };
+        assert_ne!(fp, config_fingerprint(&retried, &errs));
+        let detecting = CometConfig { detect: Some(DetectorConfig::default()), ..c };
+        assert_ne!(fp, config_fingerprint(&detecting, &errs));
+        // ...and segment_rows: a cross-segment-size resume is refused
+        // even before the explicit header check.
         let resized = CometConfig { segment_rows: 1024, ..c };
         assert_ne!(fp, config_fingerprint(&resized, &errs));
     }

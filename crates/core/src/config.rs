@@ -2,7 +2,6 @@
 
 use crate::cost::CostPolicy;
 use comet_detect::DetectorConfig;
-use comet_ml::kernels::KernelTier;
 use comet_ml::{Metric, RandomSearch};
 
 /// All knobs of a COMET run. Defaults follow the paper's experimental setup
@@ -45,17 +44,6 @@ pub struct CometConfig {
     /// estimator error) is retried before the candidate is recorded as
     /// failed and skipped for the iteration.
     pub max_retries: usize,
-    /// Kernel tier for all linear-algebra reductions (DESIGN.md §12).
-    /// Each tier has one fixed reduction order, so the tier is part of the
-    /// session's determinism contract: it is fingerprinted, recorded in
-    /// checkpoint headers, and a resume under a different tier is refused.
-    /// Defaults to the `COMET_KERNELS` environment variable, else scalar.
-    pub kernels: KernelTier,
-    /// Run the Estimator's inner pollution-probe evaluations with f32
-    /// model training (SGD/MLP/KNN forward passes). The Bayesian fit,
-    /// ranking, and every accepted-step evaluation stay f64; only the
-    /// what-if probes drop precision. Off by default.
-    pub f32_probes: bool,
     /// Detection-seeded mode: when set, candidate `(feature, error)` pairs
     /// come from a deterministic detector ensemble scanning the dirty
     /// frames instead of the JENGA provenance oracle (DESIGN.md §13). The
@@ -91,8 +79,6 @@ impl Default for CometConfig {
             fallback: true,
             batch_size: 1,
             max_retries: 1,
-            kernels: KernelTier::from_env_or_scalar(),
-            f32_probes: false,
             detect: None,
             segment_rows: comet_frame::DEFAULT_SEGMENT_ROWS,
         }
@@ -146,10 +132,6 @@ mod tests {
         assert_eq!(c.search.n_samples, 10);
         assert_eq!(c.max_retries, 1);
         assert!(c.use_uncertainty && c.bias_correction && c.revert_on_decrease && c.fallback);
-        // The paper's numbers were produced with full-precision probes;
-        // the kernel tier only follows an explicit opt-in.
-        assert_eq!(c.kernels, KernelTier::from_env_or_scalar());
-        assert!(!c.f32_probes);
         assert!(c.detect.is_none(), "the paper's setup is oracle mode");
         assert_eq!(c.segment_rows, comet_frame::DEFAULT_SEGMENT_ROWS);
         assert!(c.validate().is_ok());

@@ -15,8 +15,8 @@ use comet_detect::{DetectionReport, DetectorConfig, DetectorScore};
 use comet_frame::{Column, DataFrame, FrameError};
 use comet_jenga::{ErrorType, GroundTruth, Provenance};
 use comet_ml::{
-    build_f32, scratch, Algorithm, FeatureCache, FeatureCacheStats, Featurizer, HyperParams,
-    MatrixF32, Metric, RandomSearch,
+    scratch, Algorithm, FeatureCache, FeatureCacheStats, Featurizer, HyperParams, Metric,
+    RandomSearch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,13 +98,6 @@ impl CacheStats {
 /// Entries kept before the evaluation cache is cleared wholesale. Each
 /// entry is two u64 keys + one f64, so the cap bounds memory at ~1.5 MiB.
 const EVAL_CACHE_CAP: usize = 65_536;
-
-/// Salt folded into the train-frame fingerprint of f32 probe evaluations.
-/// Probe scores share the `(u64, u64) -> f64` cache (and its checkpoint
-/// serialization) with full f64 evaluations, but the two precisions are
-/// not interchangeable answers for the same frame pair, so their key
-/// spaces must not collide.
-const F32_PROBE_SALT: u64 = 0xF32C_A11E_D001_ABCD;
 
 /// Memoized `(train, test) -> score` evaluations, keyed by frame content
 /// fingerprints. Interior-mutable so `evaluate_frames` can stay `&self`
@@ -238,10 +231,6 @@ pub struct CleaningEnvironment {
     /// When false, `evaluate_frames` featurizes from scratch (the pre-cache
     /// path, kept for cold/warm benchmarking and as a kill switch).
     feat_caching: bool,
-    /// When true, `evaluate_frames_probe` trains the model's f32 twin
-    /// (where one exists) instead of the full f64 model. Per-handle like
-    /// `feat_caching`; the caches stay shared (probe entries are salted).
-    f32_probes: bool,
     /// Detection-seeded mode (DESIGN.md §13): when set, candidate pairs
     /// come from the detector ensemble scanning the dirty frames and
     /// cleaning steps target ground-truth dirt regardless of the (noisy)
@@ -315,7 +304,6 @@ impl CleaningEnvironment {
             eval_cache: EvalCache::default(),
             feat_cache,
             feat_caching: true,
-            f32_probes: false,
             detect: None,
             detect_memo: DetectMemo::default(),
             detect_exhausted: BTreeSet::new(),
@@ -397,11 +385,11 @@ impl CleaningEnvironment {
         Ok(score)
     }
 
-    /// `evaluate_frames` and its probe variant accept arbitrary caller
-    /// frames — the one public entry point where user-shaped row lengths
-    /// can reach the kernels' equal-dimensionality contract (`sq_dist`,
-    /// `dot` only `debug_assert` it). Mismatches become a typed error here
-    /// instead of silent garbage in release builds.
+    /// `evaluate_frames` accepts arbitrary caller frames — the one public
+    /// entry point where user-shaped row lengths can reach the kernels'
+    /// equal-dimensionality contract (`sq_dist`, `dot` only `debug_assert`
+    /// it). Mismatches become a typed error here instead of silent garbage
+    /// in release builds.
     fn check_frame_shapes(&self, train: &DataFrame, test: &DataFrame) -> Result<(), EnvError> {
         if train.schema() != test.schema() {
             return Err(EnvError::Invalid(
@@ -411,64 +399,6 @@ impl CleaningEnvironment {
             ));
         }
         Ok(())
-    }
-
-    /// [`evaluate_frames`](Self::evaluate_frames) for the Estimator's
-    /// what-if pollution probes. With `f32_probes` enabled and an f32 twin
-    /// available for the session's model, the fit and forward pass run in
-    /// single precision (DESIGN.md §12); the result crosses the f32 → f64
-    /// promotion boundary as integer class predictions, so the metric —
-    /// and everything downstream: the Bayesian fit and the final ranking —
-    /// is computed in f64. Falls back to the full f64 path when the flag
-    /// is off or the model has no f32 twin (trees, forests, naive Bayes).
-    pub fn evaluate_frames_probe(
-        &self,
-        train: &DataFrame,
-        test: &DataFrame,
-    ) -> Result<f64, EnvError> {
-        if !self.f32_probes {
-            return self.evaluate_frames(train, test);
-        }
-        let Some(mut model) = build_f32(&self.model.params) else {
-            return self.evaluate_frames(train, test);
-        };
-        self.check_frame_shapes(train, test)?;
-        let key = (train.fingerprint() ^ F32_PROBE_SALT, test.fingerprint());
-        if let Some(score) = self.eval_cache.lookup(key) {
-            return Ok(score);
-        }
-        let cache = if self.feat_caching { Some(&self.feat_cache) } else { None };
-        let featurizer = match cache {
-            Some(cache) => Featurizer::fit_cached(train, cache)?,
-            None => Featurizer::fit(train)?,
-        };
-        let dim = featurizer.dim();
-        let xtr = featurizer.transform_with(train, cache, scratch::take(train.nrows() * dim))?;
-        let xte = featurizer.transform_with(test, cache, scratch::take(test.nrows() * dim))?;
-        let ytr = train.label_codes()?;
-        let yte = test.label_codes()?;
-        // Featurization stays f64 (and cached); only the training matrices
-        // narrow. The f64 buffers return to the scratch pool immediately.
-        let xtr32 = MatrixF32::from_matrix(&xtr);
-        let xte32 = MatrixF32::from_matrix(&xte);
-        scratch::put_matrix(xtr);
-        scratch::put_matrix(xte);
-        let mut rng = StdRng::seed_from_u64(self.eval_seed);
-        model.fit(&xtr32, &ytr, self.n_classes, &mut rng);
-        let score = self.metric.eval(&yte, &model.predict(&xte32), self.n_classes);
-        self.eval_cache.insert(key, score);
-        Ok(score)
-    }
-
-    /// Enable or disable f32 probe evaluations for this handle (clones
-    /// keep their own flag, exactly like `set_feature_caching`).
-    pub fn set_f32_probes(&mut self, enabled: bool) {
-        self.f32_probes = enabled;
-    }
-
-    /// Whether probe evaluations run in the f32 tier.
-    pub fn f32_probes(&self) -> bool {
-        self.f32_probes
     }
 
     /// Evaluation-cache counters (hits, misses, live entries).
@@ -1130,7 +1060,7 @@ mod tests {
 
     #[test]
     fn mismatched_frame_schemas_are_a_typed_error() {
-        // The public evaluation entry points are where caller-shaped row
+        // The public evaluation entry point is where caller-shaped row
         // lengths could reach the kernels' equal-dimensionality contract;
         // they must surface as `EnvError::Invalid`, not debug-only UB.
         let env = make_env(13);
@@ -1138,29 +1068,6 @@ mod tests {
         let other = comet_datasets::Dataset::Cmc.generate(Some(50), &mut rng);
         let err = env.evaluate_frames(env.train(), &other).unwrap_err();
         assert!(matches!(&err, EnvError::Invalid(msg) if msg.contains("schema")));
-        let err = env.evaluate_frames_probe(env.train(), &other).unwrap_err();
-        assert!(matches!(&err, EnvError::Invalid(msg) if msg.contains("schema")));
-    }
-
-    #[test]
-    fn f32_probes_use_a_distinct_cache_key_and_stay_deterministic() {
-        let mut env = make_env(14);
-        assert!(!env.f32_probes());
-        // Flag off: the probe path is the f64 path, same cache entry.
-        let f64_score = env.evaluate_frames_probe(env.train(), env.test()).unwrap();
-        assert_eq!(f64_score, env.evaluate().unwrap());
-        assert_eq!(env.cache_stats().entries, 1);
-
-        env.set_f32_probes(true);
-        assert!(env.f32_probes());
-        let a = env.evaluate_frames_probe(env.train(), env.test()).unwrap();
-        let b = env.evaluate_frames_probe(env.train(), env.test()).unwrap();
-        assert_eq!(a, b, "f32 probes must be deterministic");
-        assert!((0.0..=1.0).contains(&a));
-        // The salted key keeps probe scores from answering f64 lookups.
-        let stats = env.cache_stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(env.evaluate().unwrap(), f64_score);
     }
 
     #[test]

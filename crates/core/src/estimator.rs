@@ -87,10 +87,7 @@ impl Estimator {
             || EvalTally(0),
             |tally, i| {
                 tally.0 += 1;
-                // Probe evaluations may run in the opt-in f32 tier; the
-                // step-0 point (current_f1) and every accepted-step
-                // evaluation stay full f64.
-                env.evaluate_frames_probe(&variants[i].train, &variants[i].test)
+                env.evaluate_frames(&variants[i].train, &variants[i].test)
             },
         );
         let mut points: Vec<(f64, f64)> = Vec::with_capacity(variants.len() + 1);

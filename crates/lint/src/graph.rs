@@ -17,10 +17,9 @@
 //!   every `CometConfig`/`DetectorConfig` field flows into its checkpoint
 //!   fingerprint, that every checkpoint header builder parameter flows
 //!   into a written header field, and that the header keys the builder
-//!   writes round-trip through the loader. PRs 6/7/9 each added a
-//!   trace-affecting knob (kernel tier, detector config, segment size) by
-//!   hand-threading it through the fingerprint; D7 mechanizes the "did
-//!   you forget one?" review.
+//!   writes round-trip through the loader. Trace-affecting knobs (the
+//!   detector config, the segment size) were each hand-threaded through
+//!   the fingerprint; D7 mechanizes the "did you forget one?" review.
 
 use crate::config::ExemptEntry;
 use crate::parse::{
@@ -520,7 +519,7 @@ mod tests {
     }
 
     const CONFIG_SRC: &str =
-        "pub struct CometConfig {\n    pub budget: f64,\n    pub kernels: KernelTier,\n}";
+        "pub struct CometConfig {\n    pub budget: f64,\n    pub segment_rows: usize,\n}";
     const DETECT_SRC: &str = "pub struct DetectorConfig {\n    pub knn_k: usize,\n}";
 
     fn d7_files(fp_body: &str) -> Vec<ScannedFile> {
@@ -554,7 +553,7 @@ mod tests {
             .filter(|f| f.file == "crates/core/src/config.rs")
             .map(|f| f.message.split('`').nth(1).unwrap_or(""))
             .collect();
-        assert_eq!(fields, ["CometConfig.budget", "CometConfig.kernels"]);
+        assert_eq!(fields, ["CometConfig.budget", "CometConfig.segment_rows"]);
     }
 
     #[test]
@@ -563,7 +562,7 @@ mod tests {
         let cov = fingerprint_coverage(&files);
         let msgs: Vec<&str> = cov.findings.iter().map(|f| f.message.as_str()).collect();
         assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("CometConfig.kernels"));
+        assert!(msgs[0].contains("CometConfig.segment_rows"));
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub enum Rule {
     /// No raw `sum::<f64>()`/`sum::<f32>()`/`.fold(0.0, ..)` float
     /// reductions in the `comet-ml`/`comet-bayes` hot paths: accumulation
     /// order is part of the trace contract, so route through the
-    /// fixed-order `kernels` primitives. Only the lane-ordered tier
-    /// modules (`kernels/{scalar,lanes8,x86}.rs`) are exempt.
+    /// fixed-order `kernels` primitives. Only the lane-ordered encoding
+    /// modules (`kernels/{lanes8,x86}.rs`) are exempt.
     D6,
     /// Fingerprint coverage: every `CometConfig`/`DetectorConfig` field
     /// must flow into its checkpoint fingerprint (or carry a `nofp`
@@ -185,8 +185,7 @@ impl FileContext {
         // Only the lane-ordered primitive modules may spell raw reductions;
         // the dispatcher (`kernels/mod.rs`) and everything above it must
         // route through them, so D6 scans those too.
-        const LANE_ORDERED: [&str; 3] =
-            ["kernels/scalar.rs", "kernels/lanes8.rs", "kernels/x86.rs"];
+        const LANE_ORDERED: [&str; 2] = ["kernels/lanes8.rs", "kernels/x86.rs"];
         HOT_PATH.contains(&self.crate_name.as_str())
             && !LANE_ORDERED.iter().any(|m| self.path.ends_with(m))
     }
@@ -883,12 +882,12 @@ mod tests {
     }
 
     #[test]
-    fn only_lane_ordered_tier_modules_are_d6_exempt() {
+    fn only_lane_ordered_modules_are_d6_exempt() {
         let src = "fn f(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }";
-        assert!(rules_found("crates/ml/src/kernels/scalar.rs", src).is_empty());
         assert!(rules_found("crates/ml/src/kernels/lanes8.rs", src).is_empty());
         assert!(rules_found("crates/ml/src/kernels/x86.rs", src).is_empty());
-        // The dispatcher must route through the tier primitives, so it IS scanned.
+        // The dispatcher must route through the lane-ordered encodings,
+        // so it IS scanned.
         assert_eq!(rules_found("crates/ml/src/kernels/mod.rs", src), vec![Rule::D6]);
     }
 

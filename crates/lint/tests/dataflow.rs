@@ -17,16 +17,8 @@ const OLD_HARDCODED_LIST: [&str; 7] =
 
 /// Every session-identity ingredient the checkpoint header writes. The
 /// mutation drill deletes each one's builder line in turn.
-const HEADER_KEYS: [&str; 8] = [
-    "session_seed",
-    "config_fp",
-    "budget_total",
-    "kernel_tier",
-    "lane_count",
-    "f32_probes",
-    "detect_fp",
-    "segment_rows",
-];
+const HEADER_KEYS: [&str; 5] =
+    ["session_seed", "config_fp", "budget_total", "detect_fp", "segment_rows"];
 
 const CHECKPOINT: &str = "crates/core/src/checkpoint.rs";
 

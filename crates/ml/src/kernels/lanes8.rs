@@ -1,6 +1,6 @@
-//! SIMD tier reference: portable 8-lane fixed-order kernels.
+//! The reduction order: portable 8-lane fixed-order kernels.
 //!
-//! The SIMD tier's semantics are defined *here*, in plain Rust. Eight
+//! Every kernel's semantics are defined *here*, in plain Rust. Eight
 //! independent accumulator lanes run over an 8-wide unrolled body; lane
 //! `j` accumulates elements `8·c + j`. The horizontal combine is fixed as
 //!
@@ -11,15 +11,15 @@
 //!
 //! where `tail` is the sequential left-to-right remainder sum. The pair
 //! step `l_j + l_{j+4}` is exactly the vertical `acc_lo + acc_hi` add the
-//! AVX2/SSE2 implementations in [`super::x86`] perform, so the intrinsics
-//! are required (and property-tested) to be bit-identical to this module
-//! on every input. Fused multiply–add is deliberately *not* used anywhere
-//! in the SIMD tier: FMA rounds once where mul-then-add rounds twice, and
-//! would diverge from this reference.
+//! AVX2 encoding in [`super::x86`] performs, so the intrinsics are
+//! required (and property-tested) to be bit-identical to this module on
+//! every input. Fused multiply–add is deliberately *not* used anywhere:
+//! FMA rounds once where mul-then-add rounds twice, and would diverge
+//! from this reference.
 //!
-//! Like [`super::scalar`], this module is a lane-ordered primitive: raw
-//! float reductions are allowed here because the lane order is the
-//! contract.
+//! This module is a lane-ordered primitive: raw float reductions are
+//! allowed here (and in `x86`) because the lane order is the contract.
+//! Everything else routes through the dispatchers in [`super`].
 
 /// Dot product with eight fixed-order accumulator lanes.
 #[inline]
@@ -66,8 +66,7 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     combine8(&l) + tail
 }
 
-/// `y += alpha * x`, unrolled 8-wide. Element-wise (order-free); the
-/// results are bit-identical to the scalar tier by construction.
+/// `y += alpha * x`, unrolled 8-wide. Element-wise (order-free).
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
@@ -99,93 +98,11 @@ pub fn scale_axpy(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
     }
 }
 
-/// The fixed 8-lane horizontal combine shared by every SIMD-tier
-/// implementation: pairwise `l_j + l_{j+4}` (the vector `lo + hi` add),
-/// then `((s0 + s1) + (s2 + s3))`.
+/// The fixed 8-lane horizontal combine shared by every encoding:
+/// pairwise `l_j + l_{j+4}` (the vector `lo + hi` add), then
+/// `((s0 + s1) + (s2 + s3))`.
 #[inline]
 pub fn combine8(l: &[f64; 8]) -> f64 {
-    let s0 = l[0] + l[4];
-    let s1 = l[1] + l[5];
-    let s2 = l[2] + l[6];
-    let s3 = l[3] + l[7];
-    (s0 + s1) + (s2 + s3)
-}
-
-/// [`dot`] in single precision, same 8-lane order.
-#[inline]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    let mut l = [0.0f32; 8];
-    for (pa, pb) in ca.by_ref().zip(cb.by_ref()) {
-        for j in 0..8 {
-            l[j] += pa[j] * pb[j];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    combine8_f32(&l) + tail
-}
-
-/// [`sq_dist`] in single precision, same 8-lane order.
-#[inline]
-pub fn sq_dist_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    let mut l = [0.0f32; 8];
-    for (pa, pb) in ca.by_ref().zip(cb.by_ref()) {
-        for j in 0..8 {
-            let d = pa[j] - pb[j];
-            l[j] += d * d;
-        }
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        let d = x - y;
-        tail += d * d;
-    }
-    combine8_f32(&l) + tail
-}
-
-/// [`axpy`] in single precision.
-#[inline]
-pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(8);
-    let mut cx = x.chunks_exact(8);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        for j in 0..8 {
-            py[j] += alpha * px[j];
-        }
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// [`scale_axpy`] in single precision.
-#[inline]
-pub fn scale_axpy_f32(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(8);
-    let mut cx = x.chunks_exact(8);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        for j in 0..8 {
-            py[j] = alpha * py[j] + beta * px[j];
-        }
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi = alpha * *yi + beta * xi;
-    }
-}
-
-/// The fixed 8-lane combine in single precision.
-#[inline]
-pub fn combine8_f32(l: &[f32; 8]) -> f32 {
     let s0 = l[0] + l[4];
     let s1 = l[1] + l[5];
     let s2 = l[2] + l[6];

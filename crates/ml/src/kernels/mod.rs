@@ -1,169 +1,67 @@
-//! Tiered fixed-order linear-algebra kernels for the hot path.
+//! Fixed-order linear-algebra kernels for the hot path.
 //!
-//! Two kernel tiers implement the same API:
+//! One reduction order: eight independent accumulator lanes, combined as
+//! defined by the portable [`lanes8`] encoding. On x86_64 hosts with AVX2
+//! the dispatchers below run the [`x86`] encoding instead, which is
+//! bit-identical to [`lanes8`] on every input — so results depend only on
+//! the inputs, never on the hardware a session runs on. The CPU check is
+//! `std`'s cached runtime feature detection, one predictable branch per
+//! kernel call.
 //!
-//! * [`KernelTier::Scalar`] — the original 4-lane unrolled kernels
-//!   ([`scalar`]): four independent accumulator lanes combined as
-//!   `(l0 + l1) + (l2 + l3)` plus a sequential tail. Portable default.
-//! * [`KernelTier::Simd`] — 8-lane explicitly-vectorized kernels: AVX2
-//!   or SSE2 `core::arch` intrinsics ([`x86`]) behind runtime feature
-//!   detection, with a portable 8-lane fallback ([`lanes8`]) that
-//!   *defines* the tier's reduction order. All three implementations are
-//!   bit-identical to each other on every input, so the Simd tier is
-//!   deterministic across machines — only the *tier choice* changes
-//!   results, never the hardware it runs on.
-//!
-//! Each lane width fixes one reduction order; the two tiers therefore
-//! produce *different* (each internally deterministic) results for the
-//! reducing kernels `dot`/`sq_dist` (and everything built on them). The
-//! selected tier is part of the session fingerprint and checkpoint
-//! header in `comet-core`: a checkpoint taken under one tier refuses to
-//! resume under the other. Element-wise kernels ([`axpy`],
-//! [`scale_axpy`]) and [`matmul`] (per-cell k-ascending single adds) are
-//! bit-identical across tiers.
-//!
-//! Tier selection, highest priority first: [`set_tier`] (sessions apply
-//! their config; the CLI's `--kernels` flag and benches call it
-//! directly), then the `COMET_KERNELS=scalar|simd` environment variable,
-//! then the scalar default. The choice is process-global (parallel
-//! evaluation workers must all agree) and read with a relaxed atomic
-//! load, so dispatch costs one predictable branch per kernel call.
-//!
-//! The `_f32` twins serve the opt-in f32 probe tier (`f32_probes` in
-//! `comet-core`): same lane-order rules in single precision.
+//! Element-wise kernels ([`axpy`], [`scale_axpy`]) involve no
+//! accumulation order at all, and [`matmul`] accumulates every output
+//! cell with single k-ascending adds, so it is independent of blocking
+//! and of how many rows one call covers.
 
 pub mod lanes8;
-pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which kernel implementation tier evaluates hot-path reductions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum KernelTier {
-    /// 4-lane unrolled scalar kernels (portable default).
-    Scalar,
-    /// 8-lane SIMD kernels (AVX2/SSE2 with portable fallback).
-    Simd,
-}
-
-impl KernelTier {
-    /// Stable lowercase name (used in flags, fingerprints, checkpoint
-    /// headers, and bench JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelTier::Scalar => "scalar",
-            KernelTier::Simd => "simd",
-        }
-    }
-
-    /// Accumulator lanes per reduction — the fixed reduction order's
-    /// width, recorded alongside the tier name wherever it is persisted.
-    pub fn lanes(self) -> usize {
-        match self {
-            KernelTier::Scalar => 4,
-            KernelTier::Simd => 8,
-        }
-    }
-
-    /// Parse a (case-insensitive) tier name.
-    pub fn parse(s: &str) -> Option<KernelTier> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelTier::Scalar),
-            "simd" => Some(KernelTier::Simd),
-            _ => None,
-        }
-    }
-
-    /// Resolve the `COMET_KERNELS` environment variable, falling back to
-    /// [`KernelTier::Scalar`] when unset or unparseable.
-    pub fn from_env_or_scalar() -> KernelTier {
-        std::env::var("COMET_KERNELS")
-            .ok()
-            .and_then(|v| KernelTier::parse(&v))
-            .unwrap_or(KernelTier::Scalar)
-    }
-}
-
-impl std::fmt::Display for KernelTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Unset sentinel; the first [`tier`] read resolves `COMET_KERNELS`.
-const TIER_UNSET: u8 = 0;
-const TIER_SCALAR: u8 = 1;
-const TIER_SIMD: u8 = 2;
-
-/// Process-global tier selection (see module docs for precedence).
-static TIER: AtomicU8 = AtomicU8::new(TIER_UNSET);
-
-/// The currently selected kernel tier. Resolves `COMET_KERNELS` on the
-/// first call; afterwards a relaxed atomic load.
-#[inline]
-pub fn tier() -> KernelTier {
-    // comet-lint: allow(D9) — single u8 flag, no dependent data; worst case is one redundant env re-read
-    match TIER.load(Ordering::Relaxed) {
-        TIER_SCALAR => KernelTier::Scalar,
-        TIER_SIMD => KernelTier::Simd,
-        _ => {
-            let t = KernelTier::from_env_or_scalar();
-            set_tier(t);
-            t
-        }
-    }
-}
-
-/// Select the process-global kernel tier. Sessions call this with their
-/// config's tier before any evaluation; flipping it mid-computation is
-/// safe memory-wise (kernels re-read per call) but changes reduction
-/// orders, so callers that care about trace continuity must not.
-pub fn set_tier(t: KernelTier) {
-    let raw = match t {
-        KernelTier::Scalar => TIER_SCALAR,
-        KernelTier::Simd => TIER_SIMD,
-    };
-    // comet-lint: allow(D9) — publishes a standalone u8; no other memory must become visible with it
-    TIER.store(raw, Ordering::Relaxed);
-}
-
-/// Dot product in the selected tier's fixed lane order.
+/// Dot product in the fixed 8-lane order.
 ///
 /// Panics in debug builds if the slices differ in length; in release the
 /// shorter length governs.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    match tier() {
-        KernelTier::Scalar => scalar::dot(a, b),
-        KernelTier::Simd => simd_dot(a, b),
+    #[cfg(target_arch = "x86_64")]
+    {
+        if x86::has_avx2() {
+            // SAFETY: AVX2 support was verified at runtime just above.
+            return unsafe { x86::dot_avx2(a, b) };
+        }
     }
+    lanes8::dot(a, b)
 }
 
-/// `y += alpha * x`. Element-wise, so no accumulation order is involved
-/// and the result is bit-identical in every tier.
+/// `y += alpha * x`. Element-wise, so no accumulation order is involved.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    match tier() {
-        KernelTier::Scalar => scalar::axpy(alpha, x, y),
-        KernelTier::Simd => simd_axpy(alpha, x, y),
+    #[cfg(target_arch = "x86_64")]
+    {
+        if x86::has_avx2() {
+            // SAFETY: AVX2 support was verified at runtime just above.
+            return unsafe { x86::axpy_avx2(alpha, x, y) };
+        }
     }
+    lanes8::axpy(alpha, x, y)
 }
 
 /// `y = alpha * y + beta * x` (the SGD weight-decay + gradient step
-/// fused into one pass). Element-wise; bit-identical in every tier.
+/// fused into one pass). Element-wise.
 #[inline]
 pub fn scale_axpy(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
-    match tier() {
-        KernelTier::Scalar => scalar::scale_axpy(alpha, y, beta, x),
-        KernelTier::Simd => simd_scale_axpy(alpha, y, beta, x),
+    #[cfg(target_arch = "x86_64")]
+    {
+        if x86::has_avx2() {
+            // SAFETY: AVX2 support was verified at runtime just above.
+            return unsafe { x86::scale_axpy_avx2(alpha, y, beta, x) };
+        }
     }
+    lanes8::scale_axpy(alpha, y, beta, x)
 }
 
-/// Squared Euclidean distance in the selected tier's fixed lane order
-/// (k-NN's inner loop; callers take the square root once at the end if
-/// they need the metric itself).
+/// Squared Euclidean distance in the fixed 8-lane order (callers take the
+/// square root once at the end if they need the metric itself).
 ///
 /// # Contract
 ///
@@ -183,16 +81,19 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
         a.len(),
         b.len()
     );
-    match tier() {
-        KernelTier::Scalar => scalar::sq_dist(a, b),
-        KernelTier::Simd => simd_sq_dist(a, b),
+    #[cfg(target_arch = "x86_64")]
+    {
+        if x86::has_avx2() {
+            // SAFETY: AVX2 support was verified at runtime just above.
+            return unsafe { x86::sq_dist_avx2(a, b) };
+        }
     }
+    lanes8::sq_dist(a, b)
 }
 
 /// Dense row-major matrix–vector product: `out[i] = dot(a_row_i, x)`.
 /// `a` holds `nrows * ncols` elements; rows stream through cache in
-/// order, so no extra blocking is needed for the matvec shape. The tier
-/// is resolved once per call, not once per row.
+/// order, so no extra blocking is needed for the matvec shape.
 #[inline]
 pub fn matvec(a: &[f64], nrows: usize, ncols: usize, x: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), nrows * ncols);
@@ -202,17 +103,8 @@ pub fn matvec(a: &[f64], nrows: usize, ncols: usize, x: &[f64], out: &mut [f64])
         out.fill(0.0);
         return;
     }
-    match tier() {
-        KernelTier::Scalar => {
-            for (o, row) in out.iter_mut().zip(a.chunks_exact(ncols)) {
-                *o = scalar::dot(row, x);
-            }
-        }
-        KernelTier::Simd => {
-            for (o, row) in out.iter_mut().zip(a.chunks_exact(ncols)) {
-                *o = simd_dot(row, x);
-            }
-        }
+    for (o, row) in out.iter_mut().zip(a.chunks_exact(ncols)) {
+        *o = dot(row, x);
     }
 }
 
@@ -245,52 +137,31 @@ const MM_BLOCK: usize = 64;
 /// of the textbook i-k-j loop: each `out[i][j]` receives its
 /// `a[i][k]*b[k][j]` terms with k strictly ascending — one add per term,
 /// no horizontal combines — so the result is bit-identical to the
-/// unblocked loop, independent of the blocking, *and identical across
-/// kernel tiers*. The scalar tier tiles the j/k dimensions around an
-/// axpy panel loop; the SIMD tier uses register-blocked broadcast
-/// micro-kernels (4×8 f64 tiles of dedicated accumulators in
-/// [`x86::matmul_avx2`]/[`x86::matmul_sse2`]) that add instruction-level
-/// parallelism across cells, never within one. The ISA is resolved once
-/// per call, so the inner loops carry no dispatch overhead.
+/// unblocked loop and independent of the blocking. The AVX2 encoding
+/// uses register-blocked broadcast micro-kernels (4×8 f64 tiles of
+/// dedicated accumulators in [`x86::matmul_avx2`]) that add
+/// instruction-level parallelism across cells, never within one; the
+/// portable fallback tiles the j/k dimensions around a [`lanes8::axpy`]
+/// panel loop. The ISA is resolved once per call, so the inner loops
+/// carry no dispatch overhead.
 pub fn matmul(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    match tier() {
-        KernelTier::Scalar => {
-            out.fill(0.0);
-            matmul_with(scalar::axpy, a, m, k, b, n, out);
-        }
-        KernelTier::Simd => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if x86::has_avx2() {
-                    // SAFETY: AVX2 support was verified at runtime just above.
-                    return unsafe { x86::matmul_avx2(a, m, k, b, n, out) };
-                }
-                if x86::has_sse2() {
-                    // SAFETY: SSE2 support was verified at runtime just above.
-                    return unsafe { x86::matmul_sse2(a, m, k, b, n, out) };
-                }
-            }
-            out.fill(0.0);
-            matmul_with(lanes8::axpy, a, m, k, b, n, out);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if x86::has_avx2() {
+            // SAFETY: AVX2 support was verified at runtime just above.
+            return unsafe { x86::matmul_avx2(a, m, k, b, n, out) };
         }
     }
+    matmul_portable(a, m, k, b, n, out);
 }
 
-/// The blocked i-k-j loop behind [`matmul`], monomorphized over the axpy
-/// implementation so the hoisted ISA choice inlines into the inner loop.
+/// The blocked i-k-j loop behind [`matmul`]'s portable fallback.
 #[inline]
-fn matmul_with(
-    axpy_k: impl Fn(f64, &[f64], &mut [f64]),
-    a: &[f64],
-    m: usize,
-    k: usize,
-    b: &[f64],
-    n: usize,
-    out: &mut [f64],
-) {
+fn matmul_portable(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    out.fill(0.0);
     for j0 in (0..n).step_by(MM_BLOCK) {
         let j1 = (j0 + MM_BLOCK).min(n);
         for k0 in (0..k).step_by(MM_BLOCK) {
@@ -299,63 +170,7 @@ fn matmul_with(
                 let a_row = &a[i * k..(i + 1) * k];
                 let out_row = &mut out[i * n + j0..i * n + j1];
                 for kk in k0..k1 {
-                    axpy_k(a_row[kk], &b[kk * n + j0..kk * n + j1], out_row);
-                }
-            }
-        }
-    }
-}
-
-/// [`matmul`] in single precision (f32 probe tier). Same k-ascending
-/// per-cell accumulation order, so it is likewise block-size- and
-/// tier-invariant.
-pub fn matmul_f32(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match tier() {
-        KernelTier::Scalar => {
-            out.fill(0.0);
-            matmul_with_f32(scalar::axpy_f32, a, m, k, b, n, out);
-        }
-        KernelTier::Simd => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if x86::has_avx2() {
-                    // SAFETY: AVX2 support was verified at runtime just above.
-                    return unsafe { x86::matmul_f32_avx2(a, m, k, b, n, out) };
-                }
-                if x86::has_sse2() {
-                    // SAFETY: SSE2 support was verified at runtime just above.
-                    return unsafe { x86::matmul_f32_sse2(a, m, k, b, n, out) };
-                }
-            }
-            out.fill(0.0);
-            matmul_with_f32(lanes8::axpy_f32, a, m, k, b, n, out);
-        }
-    }
-}
-
-/// [`matmul_with`] in single precision.
-#[inline]
-fn matmul_with_f32(
-    axpy_k: impl Fn(f32, &[f32], &mut [f32]),
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    for j0 in (0..n).step_by(MM_BLOCK) {
-        let j1 = (j0 + MM_BLOCK).min(n);
-        for k0 in (0..k).step_by(MM_BLOCK) {
-            let k1 = (k0 + MM_BLOCK).min(k);
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n + j0..i * n + j1];
-                for kk in k0..k1 {
-                    axpy_k(a_row[kk], &b[kk * n + j0..kk * n + j1], out_row);
+                    lanes8::axpy(a_row[kk], &b[kk * n + j0..kk * n + j1], out_row);
                 }
             }
         }
@@ -368,8 +183,7 @@ fn matmul_with_f32(
 /// never poison or win the reduction — unlike `f64::max`, which silently
 /// drops NaN from whichever side it lands on, and unlike raw
 /// `total_cmp`, which would rank `+NaN` above `+∞`. This is the
-/// D2-sanctioned way to take a max over score-like values. The scan is
-/// order-independent in value, so it is shared by both kernel tiers.
+/// D2-sanctioned way to take a max over score-like values.
 ///
 /// # Contract
 ///
@@ -391,251 +205,9 @@ pub fn max_sanitized(xs: &[f64]) -> f64 {
     best
 }
 
-/// [`max_sanitized`] in single precision (same contract).
-#[inline]
-pub fn max_sanitized_f32(xs: &[f32]) -> f32 {
-    let mut best = f32::NEG_INFINITY;
-    for &x in xs {
-        let x = if x.is_nan() { f32::NEG_INFINITY } else { x };
-        if x > best {
-            best = x;
-        }
-    }
-    best
-}
-
-/// [`dot`] in single precision (f32 probe tier).
-#[inline]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    match tier() {
-        KernelTier::Scalar => scalar::dot_f32(a, b),
-        KernelTier::Simd => simd_dot_f32(a, b),
-    }
-}
-
-/// [`axpy`] in single precision (f32 probe tier).
-#[inline]
-pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    match tier() {
-        KernelTier::Scalar => scalar::axpy_f32(alpha, x, y),
-        KernelTier::Simd => simd_axpy_f32(alpha, x, y),
-    }
-}
-
-/// [`scale_axpy`] in single precision (f32 probe tier).
-#[inline]
-pub fn scale_axpy_f32(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    match tier() {
-        KernelTier::Scalar => scalar::scale_axpy_f32(alpha, y, beta, x),
-        KernelTier::Simd => simd_scale_axpy_f32(alpha, y, beta, x),
-    }
-}
-
-/// [`sq_dist`] in single precision (f32 probe tier; same contract as
-/// [`sq_dist`]).
-#[inline]
-pub fn sq_dist_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(
-        a.len(),
-        b.len(),
-        "sq_dist_f32 requires equal dimensionality (got {} vs {})",
-        a.len(),
-        b.len()
-    );
-    match tier() {
-        KernelTier::Scalar => scalar::sq_dist_f32(a, b),
-        KernelTier::Simd => simd_sq_dist_f32(a, b),
-    }
-}
-
-/// [`matvec`] in single precision (f32 probe tier).
-#[inline]
-pub fn matvec_f32(a: &[f32], nrows: usize, ncols: usize, x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), nrows * ncols);
-    debug_assert_eq!(x.len(), ncols);
-    debug_assert_eq!(out.len(), nrows);
-    if ncols == 0 {
-        out.fill(0.0);
-        return;
-    }
-    match tier() {
-        KernelTier::Scalar => {
-            for (o, row) in out.iter_mut().zip(a.chunks_exact(ncols)) {
-                *o = scalar::dot_f32(row, x);
-            }
-        }
-        KernelTier::Simd => {
-            for (o, row) in out.iter_mut().zip(a.chunks_exact(ncols)) {
-                *o = simd_dot_f32(row, x);
-            }
-        }
-    }
-}
-
-/// [`matvec_bias`] in single precision (f32 probe tier).
-#[inline]
-pub fn matvec_bias_f32(
-    a: &[f32],
-    nrows: usize,
-    ncols: usize,
-    x: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert_eq!(bias.len(), nrows);
-    matvec_f32(a, nrows, ncols, x, out);
-    for (o, b) in out.iter_mut().zip(bias) {
-        *o += b;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Simd-tier dispatch: AVX2 when detected, SSE2 otherwise (x86_64
-// baseline), portable lanes8 elsewhere. All three are bit-identical.
-
-#[inline]
-fn simd_dot(a: &[f64], b: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::dot_avx2(a, b) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::dot_sse2(a, b) };
-        }
-    }
-    lanes8::dot(a, b)
-}
-
-#[inline]
-fn simd_sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::sq_dist_avx2(a, b) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::sq_dist_sse2(a, b) };
-        }
-    }
-    lanes8::sq_dist(a, b)
-}
-
-#[inline]
-fn simd_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::axpy_avx2(alpha, x, y) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::axpy_sse2(alpha, x, y) };
-        }
-    }
-    lanes8::axpy(alpha, x, y)
-}
-
-#[inline]
-fn simd_scale_axpy(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::scale_axpy_avx2(alpha, y, beta, x) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::scale_axpy_sse2(alpha, y, beta, x) };
-        }
-    }
-    lanes8::scale_axpy(alpha, y, beta, x)
-}
-
-#[inline]
-fn simd_dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::dot_f32_avx2(a, b) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::dot_f32_sse2(a, b) };
-        }
-    }
-    lanes8::dot_f32(a, b)
-}
-
-#[inline]
-fn simd_sq_dist_f32(a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::sq_dist_f32_avx2(a, b) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::sq_dist_f32_sse2(a, b) };
-        }
-    }
-    lanes8::sq_dist_f32(a, b)
-}
-
-#[inline]
-fn simd_axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::axpy_f32_avx2(alpha, x, y) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::axpy_f32_sse2(alpha, x, y) };
-        }
-    }
-    lanes8::axpy_f32(alpha, x, y)
-}
-
-#[inline]
-fn simd_scale_axpy_f32(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::scale_axpy_f32_avx2(alpha, y, beta, x) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::scale_axpy_f32_sse2(alpha, y, beta, x) };
-        }
-    }
-    lanes8::scale_axpy_f32(alpha, y, beta, x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The tier selection is process-global; tests that flip it must
-    /// serialize and restore (same pattern as `OBS_LOCK` in comet-core).
-    static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-    fn tier_guard(t: KernelTier) -> (MutexGuard<'static, ()>, KernelTier) {
-        let guard = TIER_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let prev = tier();
-        set_tier(t);
-        (guard, prev)
-    }
 
     fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -653,70 +225,43 @@ mod tests {
         assert_eq!(max_sanitized(&[]), f64::NEG_INFINITY);
         // NaN must not outrank +∞ the way raw `total_cmp` would let it.
         assert_eq!(max_sanitized(&[f64::INFINITY, f64::NAN]), f64::INFINITY);
-        assert_eq!(max_sanitized_f32(&[1.0, f32::NAN, 2.0]), 2.0);
-        assert_eq!(max_sanitized_f32(&[]), f32::NEG_INFINITY);
-    }
-
-    #[test]
-    fn tier_names_roundtrip() {
-        for t in [KernelTier::Scalar, KernelTier::Simd] {
-            assert_eq!(KernelTier::parse(t.name()), Some(t));
-            assert_eq!(t.to_string(), t.name());
-        }
-        assert_eq!(KernelTier::parse("SIMD"), Some(KernelTier::Simd));
-        assert_eq!(KernelTier::parse("avx512"), None);
-        assert_eq!(KernelTier::Scalar.lanes(), 4);
-        assert_eq!(KernelTier::Simd.lanes(), 8);
     }
 
     #[test]
     fn dot_matches_naive_within_tolerance_and_is_deterministic() {
-        for t in [KernelTier::Scalar, KernelTier::Simd] {
-            let (_g, prev) = tier_guard(t);
-            for n in [0, 1, 3, 4, 5, 8, 17, 100] {
-                let a = seq(n, 1.0);
-                let b = seq(n, -0.5);
-                let d = dot(&a, &b);
-                assert!((d - naive_dot(&a, &b)).abs() < 1e-9 * (n.max(1) as f64));
-                // Bitwise repeatable.
-                assert_eq!(d.to_bits(), dot(&a, &b).to_bits());
-            }
-            set_tier(prev);
+        for n in [0, 1, 3, 4, 5, 8, 17, 100] {
+            let a = seq(n, 1.0);
+            let b = seq(n, -0.5);
+            let d = dot(&a, &b);
+            assert!((d - naive_dot(&a, &b)).abs() < 1e-9 * (n.max(1) as f64));
+            // Bitwise repeatable.
+            assert_eq!(d.to_bits(), dot(&a, &b).to_bits());
         }
     }
 
     #[test]
     fn axpy_and_scale_axpy() {
-        for t in [KernelTier::Scalar, KernelTier::Simd] {
-            let (_g, prev) = tier_guard(t);
-            for n in [0, 1, 4, 7, 9, 16, 21] {
-                let x = seq(n, 2.0);
-                let mut y = seq(n, 1.0);
-                let expect: Vec<f64> = y.iter().zip(&x).map(|(yi, xi)| yi + 0.5 * xi).collect();
-                axpy(0.5, &x, &mut y);
-                assert_eq!(y, expect);
+        for n in [0, 1, 4, 7, 9, 16, 21] {
+            let x = seq(n, 2.0);
+            let mut y = seq(n, 1.0);
+            let expect: Vec<f64> = y.iter().zip(&x).map(|(yi, xi)| yi + 0.5 * xi).collect();
+            axpy(0.5, &x, &mut y);
+            assert_eq!(y, expect);
 
-                let mut z = seq(n, 1.0);
-                let expect: Vec<f64> =
-                    z.iter().zip(&x).map(|(zi, xi)| 0.9 * zi - 0.1 * xi).collect();
-                scale_axpy(0.9, &mut z, -0.1, &x);
-                assert_eq!(z, expect);
-            }
-            set_tier(prev);
+            let mut z = seq(n, 1.0);
+            let expect: Vec<f64> = z.iter().zip(&x).map(|(zi, xi)| 0.9 * zi - 0.1 * xi).collect();
+            scale_axpy(0.9, &mut z, -0.1, &x);
+            assert_eq!(z, expect);
         }
     }
 
     #[test]
     fn sq_dist_matches_naive() {
-        for t in [KernelTier::Scalar, KernelTier::Simd] {
-            let (_g, prev) = tier_guard(t);
-            for n in [0, 1, 4, 6, 13, 24] {
-                let a = seq(n, 1.0);
-                let b = seq(n, 0.25);
-                let naive: f64 = a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum();
-                assert!((sq_dist(&a, &b) - naive).abs() < 1e-9);
-            }
-            set_tier(prev);
+        for n in [0, 1, 4, 6, 13, 24] {
+            let a = seq(n, 1.0);
+            let b = seq(n, 0.25);
+            let naive: f64 = a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum();
+            assert!((sq_dist(&a, &b) - naive).abs() < 1e-9);
         }
     }
 
@@ -725,15 +270,11 @@ mod tests {
         // 2x3 matrix times x.
         let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let x = [1.0, 0.0, -1.0];
-        for t in [KernelTier::Scalar, KernelTier::Simd] {
-            let (_g, prev) = tier_guard(t);
-            let mut out = [0.0; 2];
-            matvec(&a, 2, 3, &x, &mut out);
-            assert_eq!(out, [-2.0, -2.0]);
-            matvec_bias(&a, 2, 3, &x, &[10.0, 20.0], &mut out);
-            assert_eq!(out, [8.0, 18.0]);
-            set_tier(prev);
-        }
+        let mut out = [0.0; 2];
+        matvec(&a, 2, 3, &x, &mut out);
+        assert_eq!(out, [-2.0, -2.0]);
+        matvec_bias(&a, 2, 3, &x, &[10.0, 20.0], &mut out);
+        assert_eq!(out, [8.0, 18.0]);
     }
 
     #[test]
@@ -741,13 +282,12 @@ mod tests {
         let mut out = [1.0; 3];
         matvec(&[], 3, 0, &[], &mut out);
         assert_eq!(out, [0.0; 3]);
-        let mut out32 = [1.0f32; 3];
-        matvec_bias_f32(&[], 3, 0, &[], &[0.5; 3], &mut out32);
-        assert_eq!(out32, [0.5; 3]);
+        matvec_bias(&[], 3, 0, &[], &[0.5; 3], &mut out);
+        assert_eq!(out, [0.5; 3]);
     }
 
     #[test]
-    fn matmul_matches_naive_bitwise_in_both_tiers() {
+    fn matmul_matches_naive_bitwise() {
         // Sizes straddling the block edge so every tiling branch runs.
         for (m, k, n) in [(1, 1, 1), (3, 4, 5), (7, 65, 9), (65, 3, 70), (70, 70, 70)] {
             let a = seq(m * k, 0.01);
@@ -762,35 +302,13 @@ mod tests {
                     }
                 }
             }
-            for t in [KernelTier::Scalar, KernelTier::Simd] {
-                let (_g, prev) = tier_guard(t);
-                let mut blocked = vec![0.0; m * n];
-                matmul(&a, m, k, &b, n, &mut blocked);
-                for (x, y) in blocked.iter().zip(&naive) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "tier={t} m={m} k={k} n={n}");
-                }
-                set_tier(prev);
-            }
-        }
-    }
-
-    #[test]
-    fn elementwise_kernels_bit_identical_across_tiers() {
-        for n in [0, 1, 5, 8, 16, 19, 64, 100] {
-            let x = seq(n, 0.7);
-            let y0 = seq(n, -1.3);
-            let run = |t: KernelTier| {
-                let (_g, prev) = tier_guard(t);
-                let mut y = y0.clone();
-                axpy(0.25, &x, &mut y);
-                scale_axpy(0.9, &mut y, -0.35, &x);
-                set_tier(prev);
-                y
-            };
-            let scalar_out = run(KernelTier::Scalar);
-            let simd_out = run(KernelTier::Simd);
-            for (a, b) in scalar_out.iter().zip(&simd_out) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
+            let mut blocked = vec![0.0; m * n];
+            matmul(&a, m, k, &b, n, &mut blocked);
+            let mut portable = vec![1.0; m * n];
+            matmul_portable(&a, m, k, &b, n, &mut portable);
+            for ((x, p), y) in blocked.iter().zip(&portable).zip(&naive) {
+                assert_eq!(x.to_bits(), y.to_bits(), "m={m} k={k} n={n}");
+                assert_eq!(p.to_bits(), y.to_bits(), "portable m={m} k={k} n={n}");
             }
         }
     }

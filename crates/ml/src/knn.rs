@@ -4,22 +4,16 @@
 //! [`crate::Featurizer`] produces, so Euclidean distance is meaningful
 //! across mixed numeric/one-hot features.
 //!
-//! The distance scan is tier-shaped (DESIGN.md §12). The scalar tier keeps
-//! the original per-pair [`kernels::sq_dist`] scan and sorted-insert
-//! neighbor list, bit-identical to every pre-tier release. The SIMD tier
-//! batches the scan through the norm decomposition
-//! `‖a − xᵢ‖² = ‖a‖² + ‖xᵢ‖² − 2·a·xᵢ`: train-row norms are computed once
-//! per predict pass, the cross terms for a block of test rows come from
-//! one cache-blocked [`kernels::matmul`] against the transposed training
-//! matrix (throughput-bound element-wise axpy instead of `n_train · n_test`
-//! tiny latency-chained dot calls), and the k nearest are selected by an
-//! unsorted worst-tracking scan instead of a `Vec::insert` memmove per
-//! improvement. Both strategies are fixed-order and deterministic; they
-//! are simply *different* fixed orders (including how distance ties at
-//! the k-boundary are broken), which is exactly why the kernel tier is
-//! part of the trace fingerprint.
+//! The distance scan uses the norm decomposition
+//! `‖a − xᵢ‖² = ‖a‖² + ‖xᵢ‖² − 2·a·xᵢ` (DESIGN.md §12): train-row norms are
+//! computed once per predict pass, the cross terms for a block of test
+//! rows come from one cache-blocked [`kernels::matmul`] against the
+//! transposed training matrix (throughput-bound element-wise axpy instead
+//! of `n_train · n_test` tiny latency-chained dot calls), and the k
+//! nearest are selected by an unsorted worst-tracking scan. Every step is
+//! fixed-order, so predictions are deterministic, including how distance
+//! ties at the k-boundary are broken.
 
-use crate::kernels::KernelTier;
 use crate::model::Classifier;
 use crate::{kernels, Matrix};
 use rand::RngCore;
@@ -61,21 +55,6 @@ impl KnnClassifier {
         self.params.k
     }
 
-    /// Keep the `k` nearest in `best` (sorted ascending by squared
-    /// distance; sqrt is monotone, so ranking on the squared metric picks
-    /// the same neighbors without a sqrt per row).
-    #[inline]
-    fn consider(best: &mut Vec<(f64, u32)>, k: usize, d: f64, label: u32) {
-        if best.len() < k {
-            let at = best.partition_point(|&(bd, _)| bd <= d);
-            best.insert(at, (d, label));
-        } else if d < best[k - 1].0 {
-            best.pop();
-            let at = best.partition_point(|&(bd, _)| bd <= d);
-            best.insert(at, (d, label));
-        }
-    }
-
     /// Majority-vote over `best` into `votes` (ties break toward the
     /// smaller class code).
     fn majority(&self, best: &[(f64, u32)], votes: &mut Vec<usize>) -> u32 {
@@ -99,21 +78,8 @@ impl KnnClassifier {
         self.train_x.as_ref().expect("predict called before fit")
     }
 
-    /// Scalar-tier scan: one [`kernels::sq_dist`] per training row, the
-    /// pre-tier evaluation order.
-    fn vote(&self, row: &[f64], best: &mut Vec<(f64, u32)>, votes: &mut Vec<usize>) -> u32 {
-        let x = self.fitted();
-        let k = self.params.k.min(x.nrows());
-        best.clear();
-        for i in 0..x.nrows() {
-            let d = kernels::sq_dist(row, x.row(i));
-            Self::consider(best, k, d, self.train_y[i]);
-        }
-        self.majority(best, votes)
-    }
-
-    /// Squared norm of every training row, in the current tier's dot
-    /// order — the amortized half of the SIMD-tier decomposition.
+    /// Squared norm of every training row — the amortized half of the
+    /// norm decomposition.
     fn train_norms(&self) -> Vec<f64> {
         let x = self.fitted();
         (0..x.nrows()).map(|i| kernels::dot(x.row(i), x.row(i))).collect()
@@ -136,8 +102,8 @@ impl KnnClassifier {
     /// Deterministic unsorted top-k over one distance row: keep the `k`
     /// smallest seen so far, tracking the index of the current worst; a
     /// strictly smaller distance overwrites the worst, then the worst is
-    /// re-scanned (first index wins ties). Same strict `<` admission rule
-    /// as the scalar tier's sorted insert.
+    /// re-scanned (first index wins ties). A tie with the worst is not
+    /// admitted, so the earlier training row keeps its place.
     fn top_k_scan(dists: &[f64], labels: &[u32], k: usize, best: &mut Vec<(f64, u32)>) {
         best.clear();
         // The worst entry's (value, index) live in registers: the re-scan
@@ -169,7 +135,7 @@ impl KnnClassifier {
         }
     }
 
-    /// SIMD-tier vote for one test row, given its matmul cross-term row.
+    /// Vote for one test row, given its matmul cross-term row.
     /// `dists` is a caller-provided `n_train` scratch buffer.
     fn vote_decomposed(
         &self,
@@ -211,21 +177,16 @@ impl Classifier for KnnClassifier {
     fn predict_row(&self, row: &[f64]) -> u32 {
         let mut best = Vec::with_capacity(self.params.k + 1);
         let mut votes = Vec::with_capacity(self.n_classes);
-        match kernels::tier() {
-            KernelTier::Scalar => self.vote(row, &mut best, &mut votes),
-            KernelTier::Simd => {
-                // One-row block of the batched path: matmul's per-cell
-                // order is m-invariant, so this matches `predict` exactly.
-                let norms = self.train_norms();
-                let xt = self.transposed_train();
-                let n = norms.len();
-                let mut cross = vec![0.0; n];
-                kernels::matmul(row, 1, row.len(), &xt, n, &mut cross);
-                let rn = kernels::dot(row, row);
-                let mut dists = vec![0.0; n];
-                self.vote_decomposed(rn, &norms, &cross, &mut dists, &mut best, &mut votes)
-            }
-        }
+        // One-row block of the batched path: matmul's per-cell order is
+        // m-invariant, so this matches `predict` exactly.
+        let norms = self.train_norms();
+        let xt = self.transposed_train();
+        let n = norms.len();
+        let mut cross = vec![0.0; n];
+        kernels::matmul(row, 1, row.len(), &xt, n, &mut cross);
+        let rn = kernels::dot(row, row);
+        let mut dists = vec![0.0; n];
+        self.vote_decomposed(rn, &norms, &cross, &mut dists, &mut best, &mut votes)
     }
 
     fn predict(&self, x: &Matrix) -> Vec<u32> {
@@ -235,41 +196,32 @@ impl Classifier for KnnClassifier {
         let mut best = Vec::with_capacity(self.params.k + 1);
         let mut votes = Vec::with_capacity(self.n_classes);
         let mut out = Vec::with_capacity(x.nrows());
-        match kernels::tier() {
-            KernelTier::Scalar => {
-                for i in 0..x.nrows() {
-                    out.push(self.vote(x.row(i), &mut best, &mut votes));
-                }
+        // Train norms and the transposed training matrix amortize over the
+        // whole test set; cross terms stream through one matmul per
+        // KNN_BLOCK test rows.
+        let norms = self.train_norms();
+        let xt = self.transposed_train();
+        let (n, d) = (norms.len(), x.ncols());
+        let mut cross = vec![0.0; KNN_BLOCK * n];
+        let mut dists = vec![0.0; n];
+        let mut i0 = 0;
+        while i0 < x.nrows() {
+            let i1 = (i0 + KNN_BLOCK).min(x.nrows());
+            let rows = i1 - i0;
+            let block = &x.as_slice()[i0 * d..i1 * d];
+            kernels::matmul(block, rows, d, &xt, n, &mut cross[..rows * n]);
+            for i in 0..rows {
+                let rn = kernels::dot(x.row(i0 + i), x.row(i0 + i));
+                out.push(self.vote_decomposed(
+                    rn,
+                    &norms,
+                    &cross[i * n..(i + 1) * n],
+                    &mut dists,
+                    &mut best,
+                    &mut votes,
+                ));
             }
-            KernelTier::Simd => {
-                // Train norms and the transposed training matrix amortize
-                // over the whole test set; cross terms stream through one
-                // matmul per KNN_BLOCK test rows.
-                let norms = self.train_norms();
-                let xt = self.transposed_train();
-                let (n, d) = (norms.len(), x.ncols());
-                let mut cross = vec![0.0; KNN_BLOCK * n];
-                let mut dists = vec![0.0; n];
-                let mut i0 = 0;
-                while i0 < x.nrows() {
-                    let i1 = (i0 + KNN_BLOCK).min(x.nrows());
-                    let rows = i1 - i0;
-                    let block = &x.as_slice()[i0 * d..i1 * d];
-                    kernels::matmul(block, rows, d, &xt, n, &mut cross[..rows * n]);
-                    for i in 0..rows {
-                        let rn = kernels::dot(x.row(i0 + i), x.row(i0 + i));
-                        out.push(self.vote_decomposed(
-                            rn,
-                            &norms,
-                            &cross[i * n..(i + 1) * n],
-                            &mut dists,
-                            &mut best,
-                            &mut votes,
-                        ));
-                    }
-                    i0 = i1;
-                }
-            }
+            i0 = i1;
         }
         out
     }

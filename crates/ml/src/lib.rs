@@ -25,7 +25,6 @@
 mod algorithm;
 pub mod cv;
 mod dtree;
-pub mod f32tier;
 mod featurize;
 mod forest;
 mod gbm;
@@ -46,7 +45,6 @@ mod tune;
 pub use algorithm::{Algorithm, HyperParams};
 pub use cv::{cross_val_score, KFold};
 pub use dtree::{DecisionTreeClassifier, DtParams};
-pub use f32tier::{build_f32, ClassifierF32, MatrixF32};
 pub use featurize::{FeatureCache, FeatureCacheStats, FeatureGroup, Featurizer};
 pub use forest::{RandomForestClassifier, RfParams};
 pub use gbm::{GbmParams, GradientBoostingClassifier};

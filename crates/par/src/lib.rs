@@ -349,15 +349,30 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::MutexGuard;
+
+    /// The worker-slot budget is process-global and the test harness runs
+    /// tests concurrently, so a fan-out could find its slots held by
+    /// another test and silently run everything on the caller. Every test
+    /// that reserves slots (any fan-out above one thread, or
+    /// `occupy_slots`) holds this lock, so each sees the whole budget.
+    /// Take it before `OBS_LOCK` wherever both are needed.
+    static SLOT_LOCK: Mutex<()> = Mutex::new(());
+
+    fn slot_lock() -> MutexGuard<'static, ()> {
+        SLOT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn preserves_input_order() {
+        let _slots = slot_lock();
         let out = with_threads(4, || par_map((0..100).collect::<Vec<i64>>(), |x| x * x));
         assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<i64>>());
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
+        let _slots = slot_lock();
         let items: Vec<usize> = (0..57).collect();
         let seq = with_threads(1, || par_map(items.clone(), |x| x.wrapping_mul(0x9E3779B9)));
         let par = with_threads(8, || par_map(items, |x| x.wrapping_mul(0x9E3779B9)));
@@ -372,6 +387,7 @@ mod tests {
 
     #[test]
     fn actually_runs_on_multiple_threads() {
+        let _slots = slot_lock();
         let main_thread = std::thread::current().id();
         let saw_other = AtomicBool::new(false);
         with_threads(4, || {
@@ -400,6 +416,7 @@ mod tests {
 
     #[test]
     fn nested_fanout_respects_budget() {
+        let _slots = slot_lock();
         // Outer uses the budget; inner calls degrade gracefully and still
         // produce correct, ordered output.
         let out = with_threads(2, || {
@@ -436,6 +453,7 @@ mod tests {
 
     #[test]
     fn with_state_initializes_once_per_worker() {
+        let _slots = slot_lock();
         let inits = AtomicUsize::new(0);
         let out = with_threads(4, || {
             par_map_with(
@@ -483,6 +501,7 @@ mod tests {
 
     #[test]
     fn indexed_and_reduce_helpers() {
+        let _slots = slot_lock();
         let doubled = with_threads(4, || par_map_indexed(10, |i| i * 2));
         assert_eq!(doubled, (0..10).map(|i| i * 2).collect::<Vec<usize>>());
         let total =
@@ -496,6 +515,7 @@ mod tests {
 
     #[test]
     fn utilization_metrics_recorded_when_enabled() {
+        let _slots = slot_lock();
         let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         // Other tests in this binary may fan out concurrently and also
         // record, so assert growth rather than exact values.
@@ -516,6 +536,7 @@ mod tests {
 
     #[test]
     fn metrics_disabled_records_nothing_from_fanout() {
+        let _slots = slot_lock();
         let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         // The default state: fan-outs must not touch the registry.
         let before = comet_obs::snapshot().counter("par.fanouts");
@@ -526,6 +547,7 @@ mod tests {
 
     #[test]
     fn catch_turns_panics_into_item_errors() {
+        let _slots = slot_lock();
         let out = with_threads(4, || {
             par_map_catch((0..32).collect::<Vec<usize>>(), |x| {
                 if x % 5 == 0 {
@@ -553,6 +575,7 @@ mod tests {
 
     #[test]
     fn catch_does_not_leak_worker_slots() {
+        let _slots = slot_lock();
         // Each fan-out reserves up to 3 extra slots at 4 threads; if a
         // caught panic leaked its reservation, 64 panicking fan-outs would
         // pin ACTIVE_WORKERS near 192. Concurrent tests in this binary may
@@ -580,6 +603,7 @@ mod tests {
             values in proptest::prop::collection::vec(0i64..1_000, 1..40),
             modulus in 2i64..7,
         ) {
+            let _slots = slot_lock();
             let run = |threads: usize| {
                 with_threads(threads, || {
                     par_map_catch(values.clone(), |v| {
@@ -607,6 +631,7 @@ mod tests {
 
     #[test]
     fn occupied_slots_obey_the_shared_budget_and_release_on_drop() {
+        let _slots = slot_lock();
         // ACTIVE_WORKERS is process-global and other tests' fan-outs run
         // concurrently, so assert invariants that hold regardless of
         // outside activity rather than exact global counts.
@@ -645,6 +670,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        let _slots = slot_lock();
         let result = std::panic::catch_unwind(|| {
             with_threads(4, || {
                 par_map((0..32).collect::<Vec<usize>>(), |x| {

@@ -24,7 +24,6 @@ use comet_core::{
 };
 use comet_frame::read_csv;
 use comet_jenga::ErrorType;
-use comet_ml::kernels::KernelTier;
 use comet_ml::{Algorithm, RandomSearch};
 use comet_obs::json::{self, JsonObject, JsonValue};
 use rand::rngs::StdRng;
@@ -50,9 +49,6 @@ pub struct ServeConfig {
     /// TCP port on 127.0.0.1; `0` picks an ephemeral port (read it back
     /// from [`Daemon::port`]).
     pub port: u16,
-    /// Kernel tier for *every* hosted session — the tier is process-global
-    /// (`comet_ml::kernels::set_tier`), so one daemon pins one tier.
-    pub kernels: KernelTier,
     /// Staged service-layer faults.
     pub faults: Arc<ServeFaultPlan>,
     /// Period of the supervisor's serve report to the journal sink (if one
@@ -60,7 +56,7 @@ pub struct ServeConfig {
     pub report_every: Duration,
     /// Rows per column segment for every hosted session (`0` = whole
     /// column). Part of each session's checkpoint identity, so one daemon
-    /// pins one segmentation — exactly like the kernel tier.
+    /// pins one segmentation.
     pub segment_rows: usize,
     /// Resident-segment byte cap. `Some(n)` arms the process-global spill
     /// pool under `<root>/spill`; cold segments move to content-addressed
@@ -75,7 +71,6 @@ impl Default for ServeConfig {
             workers: 2,
             admission: AdmissionConfig::default(),
             port: 0,
-            kernels: KernelTier::Scalar,
             faults: ServeFaultPlan::new(Vec::new()),
             report_every: Duration::from_secs(10),
             segment_rows: comet_frame::DEFAULT_SEGMENT_ROWS,
@@ -122,11 +117,10 @@ impl Daemon {
     /// Open the store, recover interrupted work, bind the socket, and
     /// spawn the worker pool + accept loop + supervisor.
     pub fn start(config: ServeConfig) -> io::Result<Daemon> {
-        comet_ml::kernels::set_tier(config.kernels);
         let store = SessionStore::open(&config.root)?;
         if let Some(budget) = config.memory_budget {
-            // The spill pool is process-global, like the kernel tier:
-            // every hosted session shares the one budget. Content
+            // The spill pool is process-global: every hosted session
+            // shares the one budget. Content
             // addressing makes the directory safe to reuse across
             // restarts — a recovered session finds its segments by
             // fingerprint or rewrites them idempotently.
@@ -785,7 +779,6 @@ fn execute_session(
     let config = CometConfig {
         budget: manifest.budget,
         detect,
-        kernels: inner.config.kernels,
         segment_rows: inner.config.segment_rows,
         ..CometConfig::default()
     };

@@ -25,9 +25,7 @@
 //! Threading: a fixed worker pool multiplexed over the `comet-par` global
 //! budget (each busy worker occupies one slot, so daemon fan-out and
 //! session fan-out share one cap), one accept thread, one supervisor
-//! thread (deadline expiry + periodic serve report). The kernel tier is
-//! process-global (`comet_ml::kernels::set_tier`), so one daemon pins one
-//! tier for every session it hosts.
+//! thread (deadline expiry + periodic serve report).
 //!
 //! This crate is in comet-lint's `TIMING_EXEMPT` set: deadlines, backoff,
 //! and endpoint latency are wall-clock concepts *of the service layer*.

@@ -43,18 +43,17 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage:
   comet pollute   --input FILE --label COL --error mv|gn|cs|s --level FRAC --output FILE [--seed N]
-  comet evaluate  --input FILE --label COL [--algo NAME] [--seed N]
+  comet evaluate  --input FILE --label COL [--algo NAME] [--seed N] [--segment-rows N]
   comet recommend --dirty FILE --clean FILE --label COL [--algo NAME] [--budget N]
                   [--step FRAC] [--batch N] [--max-retries N] [--trace FILE]
                   [--checkpoint FILE [--resume]] [--metrics-out FILE]
-                  [--kernels scalar|simd] [--f32-probes]
                   [--detect [--detectors LIST]]
                   [--no-feature-cache] [--seed N]
                   [--segment-rows N] [--memory-budget BYTES]
 
   comet serve     --root DIR [--workers N] [--max-queued N] [--tenant-cap N]
                   [--backoff-ms N] [--port N] [--port-file FILE]
-                  [--kernels scalar|simd] [--metrics-out FILE]
+                  [--metrics-out FILE]
                   [--report-every-secs N] [--inject-fault SPEC[,SPEC...]]
                   [--segment-rows N] [--memory-budget BYTES]
   comet client ACTION [--port N | --port-file FILE] [--retry N] ...
@@ -66,6 +65,8 @@ usage:
                   status  --session ID
                   results --session ID [--from N]
                   cancel  --session ID
+
+  comet CMD --help | -h   print this usage
 
   --detect      seed candidates from the built-in detector ensemble instead
                 of the dirty/clean provenance diff (the oracle); --detectors
@@ -83,19 +84,26 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let result = match command.as_str() {
-        "pollute" => cmd_pollute(rest),
-        "evaluate" => cmd_evaluate(rest),
-        "recommend" => cmd_recommend(rest),
-        "serve" => cmd_serve(rest),
-        "client" => cmd_client(rest),
+    let run: fn(&[String]) -> Result<(), String> = match command.as_str() {
+        "pollute" => cmd_pollute,
+        "evaluate" => cmd_evaluate,
+        "recommend" => cmd_recommend,
+        "serve" => cmd_serve,
+        "client" => cmd_client,
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => {
+            eprintln!("error: unknown command {other:?}\n{USAGE}");
+            return ExitCode::from(1);
+        }
     };
-    match result {
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    match run(rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -104,20 +112,109 @@ fn main() -> ExitCode {
     }
 }
 
-/// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["resume", "no-feature-cache", "f32-probes", "detect"];
+/// The flags one subcommand accepts; anything else is an error naming
+/// the flag and the subcommand, never silently ignored.
+struct FlagSpec {
+    command: &'static str,
+    /// Flags followed by a value.
+    valued: &'static [&'static str],
+    /// Flags that take no value.
+    switches: &'static [&'static str],
+}
 
-/// Parse `--key value` pairs (and valueless [`BOOL_FLAGS`]).
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+const POLLUTE_FLAGS: FlagSpec = FlagSpec {
+    command: "pollute",
+    valued: &["input", "label", "error", "level", "output", "seed"],
+    switches: &[],
+};
+
+const EVALUATE_FLAGS: FlagSpec = FlagSpec {
+    command: "evaluate",
+    valued: &["input", "label", "algo", "seed", "segment-rows"],
+    switches: &[],
+};
+
+const RECOMMEND_FLAGS: FlagSpec = FlagSpec {
+    command: "recommend",
+    valued: &[
+        "dirty",
+        "clean",
+        "label",
+        "algo",
+        "budget",
+        "step",
+        "batch",
+        "max-retries",
+        "trace",
+        "checkpoint",
+        "metrics-out",
+        "detectors",
+        "seed",
+        "segment-rows",
+        "memory-budget",
+    ],
+    switches: &["resume", "detect", "no-feature-cache"],
+};
+
+const SERVE_FLAGS: FlagSpec = FlagSpec {
+    command: "serve",
+    valued: &[
+        "root",
+        "workers",
+        "max-queued",
+        "tenant-cap",
+        "backoff-ms",
+        "port",
+        "port-file",
+        "metrics-out",
+        "report-every-secs",
+        "inject-fault",
+        "segment-rows",
+        "memory-budget",
+    ],
+    switches: &[],
+};
+
+/// One set for every client action: each action reads only its own
+/// flags, so the union rejects typos without per-action tables.
+const CLIENT_FLAGS: FlagSpec = FlagSpec {
+    command: "client",
+    valued: &[
+        "port",
+        "port-file",
+        "retry",
+        "file",
+        "dirty",
+        "clean",
+        "label",
+        "algo",
+        "budget",
+        "seed",
+        "tenant",
+        "deadline-ms",
+        "session",
+        "from",
+    ],
+    switches: &["detect"],
+};
+
+/// Parse `--key value` pairs (and valueless switches) against `spec`.
+fn parse_flags(args: &[String], spec: &FlagSpec) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut iter = args.iter();
     while let Some(key) = iter.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --flag, got {key:?}"));
         };
-        if BOOL_FLAGS.contains(&name) {
+        if spec.switches.contains(&name) {
             out.insert(name.to_string(), "true".to_string());
             continue;
+        }
+        if !spec.valued.contains(&name) {
+            return Err(format!(
+                "unknown flag --{name} for `comet {}` (see `comet {} --help`)",
+                spec.command, spec.command
+            ));
         }
         let value = iter.next().ok_or_else(|| format!("--{name} needs a value"))?;
         out.insert(name.to_string(), value.clone());
@@ -190,7 +287,7 @@ fn algo_of(flags: &HashMap<String, String>) -> Result<Algorithm, String> {
 }
 
 fn cmd_pollute(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &POLLUTE_FLAGS)?;
     let input = required(&flags, "input")?;
     let label = required(&flags, "label")?;
     let output = required(&flags, "output")?;
@@ -221,7 +318,7 @@ fn cmd_pollute(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &EVALUATE_FLAGS)?;
     let input = required(&flags, "input")?;
     let label = required(&flags, "label")?;
     let algorithm = algo_of(&flags)?;
@@ -251,7 +348,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_recommend(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &RECOMMEND_FLAGS)?;
     let dirty_path = required(&flags, "dirty")?;
     let clean_path = required(&flags, "clean")?;
     let label = required(&flags, "label")?;
@@ -267,14 +364,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         || Ok(CometConfig::default().max_retries),
         |s| s.parse().map_err(|e| format!("--max-retries: {e}")),
     )?;
-    // Kernel tier precedence: `--kernels` beats `COMET_KERNELS` beats the
-    // scalar default (the config default already resolves the env var).
-    let kernels = match flags.get("kernels") {
-        None => CometConfig::default().kernels,
-        Some(name) => comet::ml::kernels::KernelTier::parse(name)
-            .ok_or_else(|| format!("unknown kernel tier {name:?} (use scalar|simd)"))?,
-    };
-    let f32_probes = flags.contains_key("f32-probes");
     let detect = parse_detect(&flags)?;
     let resume = flags.contains_key("resume");
     let checkpoint =
@@ -357,8 +446,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         step_frac: step,
         batch_size: batch,
         max_retries,
-        kernels,
-        f32_probes,
         detect,
         segment_rows,
         ..CometConfig::default()
@@ -450,7 +537,7 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &SERVE_FLAGS)?;
     let mut config =
         ServeConfig { root: required(&flags, "root")?.into(), ..ServeConfig::default() };
     if let Some(v) = flags.get("workers") {
@@ -471,10 +558,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(v) = flags.get("report-every-secs") {
         let secs: u64 = v.parse().map_err(|e| format!("--report-every-secs: {e}"))?;
         config.report_every = std::time::Duration::from_secs(secs);
-    }
-    if let Some(name) = flags.get("kernels") {
-        config.kernels = comet::ml::kernels::KernelTier::parse(name)
-            .ok_or_else(|| format!("unknown kernel tier {name:?} (use scalar|simd)"))?;
     }
     if let Some(list) = flags.get("inject-fault") {
         let specs: Vec<ServeFault> =
@@ -523,7 +606,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             "client needs an action: ping|upload|start|status|results|cancel|stats|drain".into()
         );
     };
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags(rest, &CLIENT_FLAGS)?;
     let retries: usize =
         flags.get("retry").map_or(Ok(0), |s| s.parse().map_err(|e| format!("--retry: {e}")))?;
     let request = build_client_request(action, &flags)?;
@@ -615,13 +698,21 @@ fn build_client_request(action: &str, flags: &HashMap<String, String>) -> Result
 mod tests {
     use super::*;
 
+    fn parse_as(spec: &FlagSpec, args: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), spec)
+    }
+
     fn flags(args: &[&str]) -> Result<HashMap<String, String>, String> {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        parse_as(&RECOMMEND_FLAGS, args)
+    }
+
+    fn client_flags(args: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_as(&CLIENT_FLAGS, args)
     }
 
     #[test]
     fn parse_flags_pairs() {
-        let f = flags(&["--input", "a.csv", "--label", "y"]).unwrap();
+        let f = parse_as(&EVALUATE_FLAGS, &["--input", "a.csv", "--label", "y"]).unwrap();
         assert_eq!(f.get("input").unwrap(), "a.csv");
         assert_eq!(required(&f, "label").unwrap(), "y");
         assert!(required(&f, "missing").is_err());
@@ -629,8 +720,14 @@ mod tests {
 
     #[test]
     fn parse_flags_rejects_bad_shapes() {
-        assert!(flags(&["input", "a.csv"]).is_err(), "missing --");
-        assert!(flags(&["--input"]).is_err(), "dangling flag");
+        assert!(flags(&["dirty", "a.csv"]).is_err(), "missing --");
+        assert!(flags(&["--dirty"]).is_err(), "dangling flag");
+        // Unknown flags name themselves and the subcommand.
+        let err = flags(&["--bogus", "1"]).unwrap_err();
+        assert!(err.contains("--bogus") && err.contains("comet recommend"), "{err}");
+        // Each subcommand has its own set: `--input` belongs to evaluate.
+        assert!(flags(&["--input", "a.csv"]).is_err());
+        assert!(parse_as(&EVALUATE_FLAGS, &["--budget", "5"]).is_err());
     }
 
     #[test]
@@ -643,11 +740,29 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flags_parse() {
-        let f = flags(&["--f32-probes", "--kernels", "simd"]).unwrap();
-        assert!(f.contains_key("f32-probes"), "--f32-probes is valueless");
-        assert_eq!(f.get("kernels").unwrap(), "simd");
-        assert_eq!(comet::ml::kernels::KernelTier::parse("simd").unwrap().lanes(), 8);
+    fn retired_kernel_flags_are_rejected() {
+        // The kernel tiers and f32 probes are gone; their flags must fail
+        // loudly instead of being dropped.
+        for spec in [&RECOMMEND_FLAGS, &SERVE_FLAGS, &EVALUATE_FLAGS] {
+            let err = parse_as(spec, &["--kernels", "simd"]).unwrap_err();
+            assert!(err.contains("--kernels"), "{err}");
+            // Spelled in two pieces so a search for retired identifiers
+            // finds only this history.
+            let probes = concat!("--f32", "-probes");
+            let err = parse_as(spec, &[probes]).unwrap_err();
+            assert!(err.contains(probes), "{err}");
+        }
+    }
+
+    #[test]
+    fn serve_accepts_every_documented_flag() {
+        let f = parse_as(
+            &SERVE_FLAGS,
+            &["--root", "r", "--workers", "2", "--port-file", "p", "--metrics-out", "m"],
+        )
+        .unwrap();
+        assert_eq!(f.get("workers").unwrap(), "2");
+        assert!(parse_as(&SERVE_FLAGS, &["--resume"]).is_err());
     }
 
     #[test]
@@ -727,35 +842,36 @@ mod tests {
 
     #[test]
     fn client_requests_encode_and_validate() {
-        let f = flags(&["--session", "s00000001", "--from", "3"]).unwrap();
+        let f = client_flags(&["--session", "s00000001", "--from", "3"]).unwrap();
         let req = build_client_request("results", &f).unwrap();
         let parsed = comet::obs::json::parse(&req).unwrap();
         assert_eq!(parsed.get("cmd").unwrap().as_str(), Some("results"));
         assert_eq!(parsed.get("session").unwrap().as_str(), Some("s00000001"));
         assert_eq!(parsed.get("from").unwrap().as_f64(), Some(3.0));
 
-        let f = flags(&["--dirty", "abc", "--label", "y", "--detect", "--budget", "5"]).unwrap();
+        let f =
+            client_flags(&["--dirty", "abc", "--label", "y", "--detect", "--budget", "5"]).unwrap();
         let req = build_client_request("start", &f).unwrap();
         let parsed = comet::obs::json::parse(&req).unwrap();
         assert_eq!(parsed.get("detect"), Some(&comet::obs::json::JsonValue::Bool(true)));
         assert_eq!(parsed.get("budget").unwrap().as_f64(), Some(5.0));
         assert!(parsed.get("clean").is_none(), "omitted flags stay omitted");
 
-        assert!(build_client_request("start", &flags(&["--dirty", "abc"]).unwrap()).is_err());
-        assert!(build_client_request("status", &flags(&[]).unwrap()).is_err());
-        assert!(build_client_request("frobnicate", &flags(&[]).unwrap()).is_err());
+        assert!(build_client_request("start", &client_flags(&["--dirty", "abc"]).unwrap()).is_err());
+        assert!(build_client_request("status", &client_flags(&[]).unwrap()).is_err());
+        assert!(build_client_request("frobnicate", &client_flags(&[]).unwrap()).is_err());
     }
 
     #[test]
     fn client_port_resolves_flag_then_file() {
-        let f = flags(&["--port", "4410"]).unwrap();
+        let f = client_flags(&["--port", "4410"]).unwrap();
         assert_eq!(client_port(&f).unwrap(), 4410);
-        assert!(client_port(&flags(&[]).unwrap()).is_err(), "no source → loud error");
-        assert!(client_port(&flags(&["--port", "banana"]).unwrap()).is_err());
+        assert!(client_port(&client_flags(&[]).unwrap()).is_err(), "no source → loud error");
+        assert!(client_port(&client_flags(&["--port", "banana"]).unwrap()).is_err());
 
         let path = std::env::temp_dir().join(format!("comet-port-{}", std::process::id()));
         std::fs::write(&path, "4411\n").unwrap();
-        let f = flags(&["--port-file", path.to_str().unwrap()]).unwrap();
+        let f = client_flags(&["--port-file", path.to_str().unwrap()]).unwrap();
         assert_eq!(client_port(&f).unwrap(), 4411);
         std::fs::remove_file(&path).ok();
     }
