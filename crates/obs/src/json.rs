@@ -190,12 +190,13 @@ impl JsonValue {
 }
 
 /// Parse one JSON document. Errors carry the byte offset of the problem.
+/// Linear in the input length: strings are copied run by run, never
+/// re-validated (the input is already a `&str`).
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing content at byte {pos}"));
     }
     Ok(value)
@@ -216,16 +217,17 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => Ok(JsonValue::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
         None => Err("unexpected end of input".into()),
     }
 }
@@ -244,28 +246,40 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>().map(JsonValue::Num).map_err(|e| format!("bad number at byte {start}: {e}"))
+    // Only ASCII bytes were consumed, so both ends are char boundaries.
+    text[start..*pos]
+        .parse::<f64>()
+        .map(JsonValue::Num)
+        .map_err(|e| format!("bad number at byte {start}: {e}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one go. Both
+        // delimiters are ASCII, so the run ends on a char boundary.
+        let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+        let end = run.map_or(bytes.len(), |n| *pos + n);
+        out.push_str(&text[*pos..end]);
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -277,33 +291,47 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+                        out.push(parse_unicode_escape(bytes, pos)?);
+                        continue;
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Decode the `\uXXXX` escape whose `u` is at `*pos`, leaving `*pos` just
+/// past it. A high surrogate directly followed by a `\u` low surrogate
+/// decodes as the pair's one scalar; any other surrogate (a lone half) is
+/// U+FFFD, and the escape after a lone high half is left for the caller.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let high = hex4(bytes, *pos + 1)?;
+    *pos += 5;
+    if (0xD800..0xDC00).contains(&high) && bytes[*pos..].starts_with(b"\\u") {
+        let low = hex4(bytes, *pos + 2)?;
+        if (0xDC00..0xE000).contains(&low) {
+            *pos += 6;
+            let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+            return Ok(char::from_u32(code).unwrap_or('\u{fffd}'));
+        }
+    }
+    Ok(char::from_u32(high).unwrap_or('\u{fffd}'))
+}
+
+/// Exactly four hex digits at `at` (no sign, no shorter run).
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes.get(at..at + 4).ok_or("truncated \\u escape".to_string())?;
+    digits.iter().try_fold(0u32, |code, &b| {
+        let digit =
+            char::from(b).to_digit(16).ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        Ok(code * 16 + digit)
+    })
+}
+
+fn parse_array(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -312,7 +340,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -325,7 +353,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -335,10 +364,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -433,5 +462,35 @@ mod tests {
         let parsed = parse(&obj.finish()).unwrap();
         assert_eq!(parsed.get("s").unwrap().as_str(), Some("héllo → 世界"));
         assert_eq!(parse(r#""A""#).unwrap(), JsonValue::Str("A".into()));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        // What an ASCII-only encoder (Python's json.dumps default) emits
+        // for a non-BMP character.
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), JsonValue::Str("\u{1f600}".into()));
+        assert_eq!(parse(r#""x\uD834\uDD1Ey""#).unwrap(), JsonValue::Str("x\u{1d11e}y".into()));
+        assert_eq!(parse(r#""\u00e9\u4e16""#).unwrap(), JsonValue::Str("é世".into()));
+    }
+
+    #[test]
+    fn lone_surrogates_become_replacement_characters() {
+        let fffd = '\u{fffd}';
+        assert_eq!(parse(r#""\ud83d""#).unwrap(), JsonValue::Str(format!("{fffd}")));
+        assert_eq!(parse(r#""\ude00x""#).unwrap(), JsonValue::Str(format!("{fffd}x")));
+        // A high half followed by a non-surrogate escape keeps that escape.
+        assert_eq!(parse(r#""\ud83d\u0041""#).unwrap(), JsonValue::Str(format!("{fffd}A")));
+        assert_eq!(parse(r#""\ud83d\n""#).unwrap(), JsonValue::Str(format!("{fffd}\n")));
+        // Two high halves: each is lone.
+        assert_eq!(parse(r#""\ud83d\ud83d""#).unwrap(), JsonValue::Str(format!("{fffd}{fffd}")));
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u004""#, r#""\u00g1""#, r#""\u12"#] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+        assert!(parse(r#""\ud83d\u+e00""#).is_err(), "a malformed low half is an error");
+        assert_eq!(parse(r#""\u0041BC""#).unwrap(), JsonValue::Str("ABC".into()));
     }
 }

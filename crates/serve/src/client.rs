@@ -50,9 +50,12 @@ impl From<io::Error> for ClientError {
 }
 
 impl Client {
-    /// Connect to a daemon on 127.0.0.1.
+    /// Connect to a daemon on 127.0.0.1. `TCP_NODELAY` is on: every frame
+    /// is already one write (see [`protocol::write_frame`]), so holding it
+    /// back to coalesce with later bytes would only add latency.
     pub fn connect(port: u16) -> io::Result<Client> {
         let stream = TcpStream::connect(("127.0.0.1", port))?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(600)))?;
         Ok(Client { stream })
     }

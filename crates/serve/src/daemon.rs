@@ -262,6 +262,8 @@ enum Action {
 fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
     // A stalled peer may not hold a handler thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
+    // Responses are whole frames in one write; send them at once.
+    let _ = stream.set_nodelay(true);
     loop {
         let frame = match protocol::read_frame(&mut stream) {
             Ok(Some(frame)) => frame,

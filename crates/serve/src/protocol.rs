@@ -41,6 +41,10 @@ pub mod kind {
 }
 
 /// Write one frame: 4-byte big-endian length, then the payload, flushed.
+///
+/// Header and payload go out as one buffer in one `write_all`. Two writes
+/// would let Nagle's algorithm hold the payload back until the peer's
+/// delayed ACK of the 4-byte header — about 40 ms per frame on loopback.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
@@ -49,8 +53,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME ({MAX_FRAME})", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -170,6 +176,36 @@ mod tests {
         );
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "literal\nnewlines\nare fine");
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF between frames");
+    }
+
+    /// Counts `write` calls and keeps what they wrote.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in ["", "{\"cmd\":\"ping\"}", &"x".repeat(1 << 20)] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "header and payload must leave in one write");
+            let mut r = &w.bytes[..];
+            assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(payload));
+        }
     }
 
     #[test]

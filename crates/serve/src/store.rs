@@ -26,6 +26,7 @@ use comet_obs::json::{self, JsonObject, JsonValue};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Content fingerprint for uploads: FNV-1a 64 over the raw bytes,
@@ -230,13 +231,17 @@ impl SessionStore {
 }
 
 /// Write a file atomically: temp file in the same directory, then rename.
+/// Each call gets its own temp file (pid + a process-wide counter), so
+/// concurrent writers of one path never share a half-written temp file.
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, format!("{} has no parent", path.display()))
     })?;
     let tmp = dir.join(format!(
-        ".tmp.{}.{}",
+        ".tmp.{}.{}.{}",
         std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::SeqCst),
         path.file_name().and_then(|n| n.to_str()).unwrap_or("file")
     ));
     fs::write(&tmp, bytes)?;
@@ -296,6 +301,29 @@ mod tests {
         assert_eq!(fp1, fp2, "identical bytes, identical fingerprint");
         assert_ne!(fp1, fp3);
         assert_eq!(fs::read_to_string(store.dataset_path(&fp1)).unwrap(), "a,y\n1,0\n");
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_all_publish_whole_files() {
+        let store = tmp_store("concurrent_writes");
+        let path = store.root().join("datasets").join("same.csv");
+        let body: Vec<u8> = (0..256 * 1024).map(|i| b'a' + (i % 26) as u8).collect();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..4 {
+                        write_atomic(&path, &body).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(fs::read(&path).unwrap(), body, "the published file is complete");
+        let leftovers: Vec<_> = fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "every temp file was renamed away: {leftovers:?}");
     }
 
     #[test]
