@@ -389,11 +389,21 @@ fn label_disagreement(
         return Ok(());
     }
     let labels = df.column(label_col)?;
+    let k = config.knn_k;
+    // `validate` rejects k = 0; `kth` indexes the k-th nearest.
+    let Some(kth) = k.checked_sub(1) else {
+        return Ok(());
+    };
     if labels.kind() != ColumnKind::Categorical {
         return Ok(());
     }
-
-    // Standardized numeric feature matrix, row-major; missing → 0 (the mean).
+    // Label codes and the standardized numeric feature matrix (row-major,
+    // missing → 0, the mean), read once per segment.
+    let mut codes: Vec<Option<u32>> = Vec::with_capacity(n);
+    for seg in 0..labels.n_segments() {
+        let view = labels.segment_view(seg)?;
+        codes.extend((0..view.len()).map(|local| view.cat(local)));
+    }
     let d = numeric_features.len();
     let mut matrix = vec![0.0f64; n * d];
     for (j, &c) in numeric_features.iter().enumerate() {
@@ -401,25 +411,30 @@ fn label_disagreement(
         let mean = col.mean().unwrap_or(0.0);
         let std = col.std().unwrap_or(0.0);
         let inv = if std > 0.0 { 1.0 / std } else { 0.0 };
-        for row in 0..n {
-            if let Some(v) = col.num(row) {
-                matrix[row * d + j] = (v - mean) * inv;
+        for seg in 0..col.n_segments() {
+            let offset = col.segment_offset(seg);
+            let view = col.segment_view(seg)?;
+            for local in 0..view.len() {
+                if let Some(v) = view.num(local) {
+                    matrix[(offset + local) * d + j] = (v - mean) * inv;
+                }
             }
         }
     }
 
-    let k = config.knn_k;
-    for row in 0..n {
-        let Some(own) = labels.cat(row) else { continue };
+    let labelled: Vec<usize> = (0..n).filter(|&row| codes[row].is_some()).collect();
+    let mut dists: Vec<(f64, usize)> = Vec::with_capacity(labelled.len());
+    for (row, point) in matrix.chunks_exact(d).enumerate() {
+        let Some(own) = codes[row] else { continue };
         // Distances to every other labelled row; ties break on row index.
-        let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n - 1);
-        for other in 0..n {
-            if other == row || labels.cat(other).is_none() {
+        dists.clear();
+        for &other in &labelled {
+            if other == row {
                 continue;
             }
             let mut d2 = 0.0;
-            for j in 0..d {
-                let diff = matrix[row * d + j] - matrix[other * d + j];
+            for (a, b) in point.iter().zip(&matrix[other * d..(other + 1) * d]) {
+                let diff = a - b;
                 d2 += diff * diff;
             }
             dists.push((d2, other));
@@ -427,10 +442,11 @@ fn label_disagreement(
         if dists.len() < k {
             continue;
         }
-        dists.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // The k nearest under the total (d², row) order; only they vote.
+        dists.select_nth_unstable_by(kth, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut votes: BTreeMap<u32, usize> = BTreeMap::new();
-        for &(_, other) in dists.iter().take(k) {
-            if let Some(code) = labels.cat(other) {
+        for &(_, other) in &dists[..k] {
+            if let Some(code) = codes[other] {
                 *votes.entry(code).or_insert(0) += 1;
             }
         }

@@ -11,7 +11,8 @@
 //! [`ColumnBuilder`]s. Peak memory is one record plus one unsealed segment
 //! per column (and under a spill budget, sealed segments can already be
 //! evicted mid-load), never a materialized copy of the whole file: loading
-//! a million-row CSV no longer doubles the frame's footprint.
+//! a million-row CSV no longer doubles the frame's footprint. Files and
+//! strings run the same byte-level `RecordStream`.
 
 use crate::{ColumnBuilder, DataFrame, FrameError, Result};
 use std::fs;
@@ -23,14 +24,14 @@ use std::path::Path;
 /// than one record in memory.
 pub fn read_csv(path: impl AsRef<Path>, label: Option<&str>) -> Result<DataFrame> {
     let path = path.as_ref();
-    let plan = infer_pass(CharReader::new(fs::File::open(path)?))?;
-    build_pass(CharReader::new(fs::File::open(path)?), &plan, label)
+    let plan = infer_pass(RecordStream::new(fs::File::open(path)?))?;
+    build_pass(RecordStream::new(fs::File::open(path)?), &plan, label)
 }
 
 /// Read CSV text into a frame.
 pub fn read_csv_str(text: &str, label: Option<&str>) -> Result<DataFrame> {
-    let plan = infer_pass(StrChars::new(text))?;
-    build_pass(StrChars::new(text), &plan, label)
+    let plan = infer_pass(RecordStream::new(text.as_bytes()))?;
+    build_pass(RecordStream::new(text.as_bytes()), &plan, label)
 }
 
 /// Write a frame to a CSV file.
@@ -65,152 +66,142 @@ fn quote_field(field: &str) -> String {
     }
 }
 
-/// A pull source of chars, so the record parser can run identically over
-/// in-memory text and incrementally decoded files.
-trait CharSource {
-    fn next_char(&mut self) -> Result<Option<char>>;
-    fn peek_char(&mut self) -> Result<Option<char>>;
-}
+/// Bytes pulled from the source per refill.
+const CHUNK: usize = 64 * 1024;
 
-struct StrChars<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> StrChars<'a> {
-    fn new(text: &'a str) -> Self {
-        StrChars { chars: text.chars().peekable() }
-    }
-}
-
-impl CharSource for StrChars<'_> {
-    fn next_char(&mut self) -> Result<Option<char>> {
-        Ok(self.chars.next())
-    }
-
-    fn peek_char(&mut self) -> Result<Option<char>> {
-        Ok(self.chars.peek().copied())
-    }
-}
-
-/// Incremental UTF-8 decoder over any byte reader: pulls 64 KiB chunks,
-/// carrying partial multi-byte sequences across chunk boundaries.
-struct CharReader<R: Read> {
-    inner: R,
-    /// Undecoded suffix of the previous chunk (an incomplete UTF-8 char).
-    tail: Vec<u8>,
-    buf: Vec<char>,
+/// Streaming RFC-4180-subset record parser over any byte source: quotes,
+/// `""` escapes, CRLF tolerance, and line-accurate errors. Yields one record
+/// at a time.
+///
+/// Records split on the ASCII bytes `,` `"` `\r` `\n`, which never occur
+/// inside a multi-byte UTF-8 sequence, so the parser works on raw bytes and
+/// UTF-8-checks each record once. Every other byte lands in a field, and the
+/// byte after each removed delimiter must start a char, so a record passes
+/// exactly when its slice of the input is valid UTF-8.
+struct RecordStream<R: Read> {
+    src: R,
+    buf: Box<[u8]>,
     pos: usize,
-    eof: bool,
-}
-
-impl<R: Read> CharReader<R> {
-    fn new(inner: R) -> Self {
-        CharReader { inner, tail: Vec::new(), buf: Vec::new(), pos: 0, eof: false }
-    }
-
-    fn refill(&mut self) -> Result<()> {
-        while self.pos >= self.buf.len() && !self.eof {
-            let mut chunk = [0u8; 65536];
-            let n = self.inner.read(&mut chunk)?;
-            if n == 0 {
-                self.eof = true;
-                if !self.tail.is_empty() {
-                    return Err(FrameError::Io("invalid UTF-8 at end of CSV input".into()));
-                }
-                break;
-            }
-            let mut bytes = std::mem::take(&mut self.tail);
-            bytes.extend_from_slice(&chunk[..n]);
-            let valid_len = match std::str::from_utf8(&bytes) {
-                Ok(_) => bytes.len(),
-                Err(e) if e.error_len().is_none() && bytes.len() - e.valid_up_to() < 4 => {
-                    // Incomplete trailing char: carry it into the next chunk.
-                    e.valid_up_to()
-                }
-                Err(_) => return Err(FrameError::Io("invalid UTF-8 in CSV input".into())),
-            };
-            self.tail = bytes.split_off(valid_len);
-            match std::str::from_utf8(&bytes) {
-                Ok(s) => {
-                    self.buf = s.chars().collect();
-                    self.pos = 0;
-                }
-                Err(_) => return Err(FrameError::Io("invalid UTF-8 in CSV input".into())),
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<R: Read> CharSource for CharReader<R> {
-    fn next_char(&mut self) -> Result<Option<char>> {
-        self.refill()?;
-        let ch = self.buf.get(self.pos).copied();
-        if ch.is_some() {
-            self.pos += 1;
-        }
-        Ok(ch)
-    }
-
-    fn peek_char(&mut self) -> Result<Option<char>> {
-        self.refill()?;
-        Ok(self.buf.get(self.pos).copied())
-    }
-}
-
-/// Streaming RFC-4180-subset record parser: quotes, `""` escapes, CRLF
-/// tolerance, and line-accurate errors. Yields one record at a time.
-struct RecordStream<S: CharSource> {
-    src: S,
+    end: usize,
     line: usize,
+    /// The current record's unescaped field bytes, back to back.
+    bytes: Vec<u8>,
+    /// End offset in `bytes` of each field of the current record.
+    ends: Vec<usize>,
 }
 
-impl<S: CharSource> RecordStream<S> {
-    fn new(src: S) -> Self {
-        RecordStream { src, line: 1 }
+/// One parsed record, borrowed from its [`RecordStream`].
+struct Record<'a> {
+    text: &'a str,
+    ends: &'a [usize],
+}
+
+impl<'a> Record<'a> {
+    fn len(&self) -> usize {
+        self.ends.len()
     }
 
-    fn next_record(&mut self) -> Result<Option<Vec<String>>> {
-        let mut record: Vec<String> = Vec::new();
-        let mut field = String::new();
+    fn fields(&self) -> impl Iterator<Item = &'a str> + '_ {
+        let text = self.text;
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(self.ends).map(move |(s, &e)| text.get(s..e).unwrap_or(""))
+    }
+}
+
+fn invalid_utf8(line: usize) -> FrameError {
+    FrameError::Io(format!("invalid UTF-8 in CSV input on line {line}"))
+}
+
+impl<R: Read> RecordStream<R> {
+    fn new(src: R) -> Self {
+        RecordStream {
+            src,
+            buf: vec![0u8; CHUNK].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+            line: 1,
+            bytes: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    /// Pull the next chunk; false at end of input.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) -> Result<bool> {
+        self.pos = 0;
+        self.end = self.src.read(&mut self.buf)?;
+        Ok(self.end > 0)
+    }
+
+    #[inline]
+    fn peek(&mut self) -> Result<Option<u8>> {
+        if self.pos == self.end && !self.refill()? {
+            return Ok(None);
+        }
+        Ok(Some(self.buf[self.pos]))
+    }
+
+    fn next_record(&mut self) -> Result<Option<Record<'_>>> {
+        self.bytes.clear();
+        self.ends.clear();
+        let mut field_start = 0;
         let mut in_quotes = false;
-        while let Some(ch) = self.src.next_char()? {
-            if in_quotes {
-                match ch {
-                    '"' => {
-                        if self.src.peek_char()? == Some('"') {
-                            self.src.next_char()?;
-                            field.push('"');
-                        } else {
-                            in_quotes = false;
-                        }
-                    }
-                    '\n' => {
-                        self.line += 1;
-                        field.push('\n');
-                    }
-                    _ => field.push(ch),
-                }
+        // Set after a removed delimiter: the next field byte must start a char.
+        let mut cut = true;
+        while let Some(first) = self.peek()? {
+            let chunk = &self.buf[self.pos..self.end];
+            let run = if in_quotes {
+                chunk.iter().position(|&b| b == b'"' || b == b'\n')
             } else {
-                match ch {
-                    '"' => {
-                        if !field.is_empty() {
-                            return Err(FrameError::MalformedCell {
-                                line: self.line,
-                                column: record.len() + 1,
-                                message: "quote inside unquoted field".into(),
-                            });
-                        }
-                        in_quotes = true;
+                chunk.iter().position(|&b| matches!(b, b',' | b'"' | b'\r' | b'\n'))
+            }
+            .unwrap_or(chunk.len());
+            if run > 0 {
+                if cut && (first & 0xC0) == 0x80 {
+                    return Err(invalid_utf8(self.line));
+                }
+                self.bytes.extend_from_slice(&chunk[..run]);
+                self.pos += run;
+                cut = false;
+                continue;
+            }
+            // `first` is a delimiter.
+            self.pos += 1;
+            if in_quotes {
+                if first == b'\n' {
+                    self.line += 1;
+                    self.bytes.push(b'\n');
+                } else if self.peek()? == Some(b'"') {
+                    self.pos += 1;
+                    self.bytes.push(b'"');
+                } else {
+                    in_quotes = false;
+                    cut = true;
+                }
+                continue;
+            }
+            match first {
+                b'"' => {
+                    if self.bytes.len() > field_start {
+                        return Err(FrameError::MalformedCell {
+                            line: self.line,
+                            column: self.ends.len() + 1,
+                            message: "quote inside unquoted field".into(),
+                        });
                     }
-                    ',' => record.push(std::mem::take(&mut field)),
-                    '\r' => {} // tolerate CRLF
-                    '\n' => {
-                        self.line += 1;
-                        record.push(std::mem::take(&mut field));
-                        return Ok(Some(record));
-                    }
-                    _ => field.push(ch),
+                    in_quotes = true;
+                }
+                b',' => {
+                    field_start = self.bytes.len();
+                    self.ends.push(field_start);
+                    cut = true;
+                }
+                b'\r' => cut = true, // tolerate CRLF
+                _ => {
+                    self.ends.push(self.bytes.len());
+                    self.line += 1;
+                    return self.record(self.line - 1).map(Some);
                 }
             }
         }
@@ -220,11 +211,19 @@ impl<S: CharSource> RecordStream<S> {
                 message: "unterminated quoted field".into(),
             });
         }
-        if !field.is_empty() || !record.is_empty() {
-            record.push(field);
-            return Ok(Some(record));
+        if self.bytes.len() > field_start || !self.ends.is_empty() {
+            self.ends.push(self.bytes.len());
+            return self.record(self.line).map(Some);
         }
         Ok(None)
+    }
+
+    /// The parsed record, once its bytes pass the UTF-8 check.
+    fn record(&self, line: usize) -> Result<Record<'_>> {
+        match std::str::from_utf8(&self.bytes) {
+            Ok(text) => Ok(Record { text, ends: &self.ends }),
+            Err(_) => Err(invalid_utf8(line)),
+        }
     }
 }
 
@@ -235,13 +234,10 @@ impl<S: CharSource> RecordStream<S> {
 /// blind every missing-value detector downstream.
 pub fn is_missing_sentinel(field: &str) -> bool {
     let t = field.trim();
-    if t.is_empty() {
-        return true;
-    }
-    matches!(
-        t.to_ascii_lowercase().as_str(),
-        "na" | "n/a" | "null" | "nan" | "none" | "?" | "-" | "missing"
-    )
+    t.is_empty()
+        || ["na", "n/a", "null", "nan", "none", "?", "-", "missing"]
+            .iter()
+            .any(|s| t.eq_ignore_ascii_case(s))
 }
 
 /// Outcome of the first pass: header plus per-column kind decisions.
@@ -252,11 +248,11 @@ struct InferPlan {
     numeric: Vec<bool>,
 }
 
-fn infer_pass<S: CharSource>(src: S) -> Result<InferPlan> {
-    let mut records = RecordStream::new(src);
+fn infer_pass<R: Read>(mut records: RecordStream<R>) -> Result<InferPlan> {
     let Some(header) = records.next_record()? else {
         return Err(FrameError::Empty);
     };
+    let header: Vec<String> = header.fields().map(str::to_string).collect();
     let ncols = header.len();
     let mut all_numeric = vec![true; ncols];
     let mut any_value = vec![false; ncols];
@@ -269,7 +265,7 @@ fn infer_pass<S: CharSource>(src: S) -> Result<InferPlan> {
                 got: record.len(),
             });
         }
-        for (c, f) in record.iter().enumerate() {
+        for (c, f) in record.fields().enumerate() {
             if is_missing_sentinel(f) {
                 continue;
             }
@@ -288,8 +284,11 @@ fn infer_pass<S: CharSource>(src: S) -> Result<InferPlan> {
     Ok(InferPlan { header, numeric })
 }
 
-fn build_pass<S: CharSource>(src: S, plan: &InferPlan, label: Option<&str>) -> Result<DataFrame> {
-    let mut records = RecordStream::new(src);
+fn build_pass<R: Read>(
+    mut records: RecordStream<R>,
+    plan: &InferPlan,
+    label: Option<&str>,
+) -> Result<DataFrame> {
     // Header already validated by the infer pass.
     records.next_record()?;
     let ncols = plan.header.len();
@@ -314,7 +313,7 @@ fn build_pass<S: CharSource>(src: S, plan: &InferPlan, label: Option<&str>) -> R
                 got: record.len(),
             });
         }
-        for (c, f) in record.iter().enumerate() {
+        for (c, f) in record.fields().enumerate() {
             if plan.numeric[c] {
                 let value =
                     if is_missing_sentinel(f) { None } else { f.trim().parse::<f64>().ok() };
@@ -506,7 +505,7 @@ mod tests {
 
     #[test]
     fn multibyte_utf8_across_chunk_boundaries() {
-        // Force the CharReader path (file I/O) with multi-byte chars.
+        // The file path refills from disk; multi-byte chars must survive it.
         let mut text = String::from("name,y\n");
         for i in 0..50 {
             text.push_str(&format!("héllo—{i}·ünïcødé,x\n"));
@@ -520,5 +519,139 @@ mod tests {
         assert_eq!(from_file, from_str);
         assert_eq!(from_file.column(0).unwrap().display(0).unwrap(), "héllo—0·ünïcødé");
         std::fs::remove_file(path).ok();
+    }
+
+    /// Write `bytes` to a per-test temp file and read it back.
+    fn read_file_bytes(name: &str, bytes: &[u8], label: Option<&str>) -> Result<DataFrame> {
+        let dir = std::env::temp_dir().join("comet_frame_csv_paths");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}-{}.csv", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let out = read_csv(&path, label);
+        std::fs::remove_file(path).ok();
+        out
+    }
+
+    /// A source that yields at most `step` bytes per read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn read_trickle(bytes: &[u8], step: usize) -> Result<DataFrame> {
+        let plan = infer_pass(RecordStream::new(Trickle { bytes, step }))?;
+        build_pass(RecordStream::new(Trickle { bytes, step }), &plan, None)
+    }
+
+    /// CSV text whose byte `CHUNK` — the first byte of the second read —
+    /// is byte `split` of `row`, the last data row.
+    fn straddling(row: &str, split: usize) -> String {
+        let header = "name,y\n";
+        let mut text = String::from(header);
+        let mut fill = CHUNK - split - header.len();
+        while fill > 8 {
+            text.push_str("a,x\n");
+            fill -= 4;
+        }
+        text.push_str(&"a".repeat(fill - 3));
+        text.push_str(",x\n");
+        assert_eq!(text.len() + split, CHUNK);
+        text.push_str(row);
+        text
+    }
+
+    #[test]
+    fn delimiters_across_the_read_boundary() {
+        // Each row carries a sequence that a chunk boundary can split; the
+        // split lands on every byte of it in turn.
+        let cases = [
+            ("héllo—wörld,x\n", 1, "héllo—wörld"),
+            ("\"say \"\"hi\"\"\",x\n", 5, "say \"hi\""),
+            ("\"two\nlines\",x\n", 4, "two\nlines"),
+            ("crlf,x\r\n", 5, "crlf"),
+        ];
+        for (row, from, want) in cases {
+            for split in from..from + 3 {
+                let text = straddling(row, split);
+                let from_file = read_file_bytes("boundary", text.as_bytes(), None).unwrap();
+                let from_str = read_csv_str(&text, None).unwrap();
+                assert_eq!(from_file, from_str, "{row:?} split at {split}");
+                let name = from_file.column(0).unwrap();
+                assert_eq!(name.display(from_file.nrows() - 1).unwrap(), want, "{row:?}");
+                assert_eq!(from_file.column(1).unwrap().categories(), &["x".to_string()]);
+            }
+        }
+    }
+
+    #[test]
+    fn one_byte_reads_match_the_string_path() {
+        let text = "name,n,y\r\n\"a,b\",1.5,x\n\"say \"\"hi\"\"\", 2 ,y\n\"two\nlines\",NA,x\n\
+                    héllo—0·ü,,y\n\"\",3,x";
+        let whole = read_csv_str(text, None).unwrap();
+        for step in [1, 2, 3, 7] {
+            assert_eq!(read_trickle(text.as_bytes(), step).unwrap(), whole, "step {step}");
+        }
+    }
+
+    #[test]
+    fn errors_match_between_file_and_string_paths() {
+        let cases = [
+            "a,b\n1.0\n",
+            "a\n\"oops\n",
+            "a\nab\"c\n",
+            "a,b,c\n1,2,3\n4,5,6\"7\n",
+            "a,b\n\"x\ny\",1\n2\n",
+            "a,b\n",
+            "",
+        ];
+        for text in cases {
+            let from_str = read_csv_str(text, None).unwrap_err();
+            let from_file = read_file_bytes("errors", text.as_bytes(), None).unwrap_err();
+            assert_eq!(from_file, from_str, "{text:?}");
+            assert_eq!(read_trickle(text.as_bytes(), 1).unwrap_err(), from_str, "{text:?}");
+        }
+        // A quoted newline counts towards the reported line.
+        assert_eq!(
+            read_csv_str("a,b\n\"x\ny\",1\n2\n", None).unwrap_err(),
+            FrameError::RaggedRow { line: 3, expected: 2, got: 1 }
+        );
+        assert_eq!(read_csv_str("", None).unwrap_err(), FrameError::Empty);
+    }
+
+    #[test]
+    fn invalid_utf8_rejected_wherever_delimiters_hide_it() {
+        // Lone continuation byte; truncated char at end of input; and chars
+        // split by a dropped `\r`, a closing quote, or a field separator —
+        // each would be valid if the removed delimiter were ignored.
+        let cases: [&[u8]; 6] = [
+            b"a\n\x80\n",
+            b"a\nx\xC3",
+            b"a\n\xC3\r\xA9\n",
+            b"a\n\"\xC3\"\xA9\n",
+            b"a,b\n\xC3,\xA9\n",
+            b"a\n\"\xC3\"\"\xA9\"\n",
+        ];
+        for bytes in cases {
+            for err in [
+                read_file_bytes("utf8", bytes, None).unwrap_err(),
+                read_trickle(bytes, 1).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, FrameError::Io(m) if m.contains("invalid UTF-8")),
+                    "{bytes:?}: {err}"
+                );
+            }
+        }
+        let ok = "a\n\"é\"\né\r\n";
+        assert_eq!(read_file_bytes("utf8-ok", ok.as_bytes(), None).unwrap().nrows(), 2);
     }
 }
